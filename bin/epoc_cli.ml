@@ -156,15 +156,6 @@ let device_arg =
        & info [ "device" ] ~docv:"NAME|FILE"
            ~env:(Cmd.Env.info "EPOC_DEVICE") ~doc)
 
-(* Resolve a --device spec against [registry]; [Ok None] when no device
-   was requested (the legacy chain model). *)
-let resolve_device registry = function
-  | None -> Ok None
-  | Some spec -> (
-      match Epoc_device.Device.Registry.resolve registry spec with
-      | Ok d -> Ok (Some d)
-      | Error m -> Error m)
-
 let export_ir_arg =
   let doc =
     "Write the compiled schedule as portable pulse-IR JSON (waveforms, \
@@ -325,16 +316,14 @@ let compile_cmd =
         let sink = T.create ~gc () in
         let metrics = M.create () in
         let engine = Epoc.Engine.create ~config () in
-        (match resolve_device (Epoc.Engine.devices engine) device_spec with
+        (match
+           Epoc.Config.resolve_device (Epoc.Engine.devices engine) device_spec
+             config
+         with
         | Error m ->
             Printf.eprintf "error: %s\n" m;
             1
-        | Ok device ->
-            let config =
-              match device with
-              | None -> config
-              | Some d -> Epoc.Config.with_device d config
-            in
+        | Ok config ->
             let result =
               run_flow_named flow ~engine ~config ~trace:sink ~metrics
                 ~name:spec circuit
@@ -349,7 +338,8 @@ let compile_cmd =
             | Some file ->
                 write_file file
                   (Epoc_pulseir.Pulseir.to_string
-                     (Epoc_pulseir.Pulseir.export ?device ~name:spec
+                     (Epoc_pulseir.Pulseir.export
+                        ?device:config.Epoc.Config.device ~name:spec
                         result.Epoc.Pipeline.schedule));
                 Printf.eprintf "wrote pulse IR to %s\n" file);
             if trace_json then
@@ -516,16 +506,14 @@ let report_cmd =
         let metrics = M.create () in
         let engine = Epoc.Engine.create ~config () in
         let process = Epoc.Engine.metrics engine in
-        (match resolve_device (Epoc.Engine.devices engine) device_spec with
+        (match
+           Epoc.Config.resolve_device (Epoc.Engine.devices engine) device_spec
+             config
+         with
         | Error m ->
             Printf.eprintf "error: %s\n" m;
             1
-        | Ok device ->
-            let config =
-              match device with
-              | None -> config
-              | Some d -> Epoc.Config.with_device d config
-            in
+        | Ok config ->
             let result =
               run_flow_named flow ~engine ~config ~trace:sink ~metrics
                 ~name:spec circuit
@@ -625,16 +613,14 @@ let serve_cmd =
     in
     (* daemon-wide default device; jobs can override per request with
        {"device": ...}, resolved against the engine's registry *)
-    match resolve_device (Epoc_device.Device.Registry.create ()) device_spec with
+    match
+      Epoc.Config.resolve_device (Epoc_device.Device.Registry.create ())
+        device_spec config
+    with
     | Error m ->
         Printf.eprintf "error: %s\n" m;
         1
-    | Ok device ->
-        let config =
-          match device with
-          | None -> config
-          | Some d -> Epoc.Config.with_device d config
-        in
+    | Ok config ->
         Epoc_serve.Server.run { Epoc_serve.Server.socket; workers; config }
   in
   let term =

@@ -37,7 +37,6 @@ module type CODEC = sig
   val format_name : string
   val schema_version : int
   val records_file : string
-  val canonical : match_global_phase:bool -> entry -> entry
   val key : entry -> string
   val equal : match_global_phase:bool -> entry -> entry -> bool
   val to_line : key:string -> entry -> string
@@ -125,11 +124,11 @@ module Make (C : CODEC) = struct
      in-memory entry, so [entry_count] counts distinct entries even over a
      store written before flush-time deduplication existed.
 
-     Parsed entries are keyed as-is, NOT re-canonicalized: [record] wrote
-     them in canonical form, and [C.canonical] is only equivalence-class
-     canonical, not bit-idempotent (re-phasing an already-canonical matrix
-     perturbs float bits and can flip the quantized fingerprint key, making
-     every probe miss after reopen). *)
+     Parsed entries are keyed as-is, NOT re-canonicalized: they were
+     recorded in canonical form, and phase canonicalization is only
+     equivalence-class canonical, not bit-idempotent (re-phasing an
+     already-canonical matrix perturbs float bits and can flip the
+     quantized fingerprint key, making every probe miss after reopen). *)
   let load_records t lines =
     List.iteri
       (fun i line ->
@@ -199,7 +198,6 @@ module Make (C : CODEC) = struct
   (* --- recording / flush ----------------------------------------------------- *)
 
   let record t e =
-    let e = C.canonical ~match_global_phase:t.match_global_phase e in
     let key = C.key e in
     locked t (fun () ->
         let bucket = bucket_of t key in

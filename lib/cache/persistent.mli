@@ -28,11 +28,13 @@
 val log_src : Logs.src
 
 (** What a concrete store must supply: the entry type, the on-disk
-    identity of the format, and convention-aware canonicalization,
-    keying, equality and (de)serialization.  [match_global_phase] is
-    threaded through because both current instances key matrices by the
+    identity of the format, and keying, convention-aware equality and
+    (de)serialization.  [match_global_phase] is threaded through
+    because both current instances key matrices by the
     global-phase-canonical {!Epoc_pulse.Library.fingerprint} and must
-    agree with the library convention of the run they serve. *)
+    agree with the library convention of the run they serve; putting
+    entries in canonical form is the instance's job, before
+    {!Make.record}. *)
 module type CODEC = sig
   type entry
 
@@ -46,10 +48,6 @@ module type CODEC = sig
 
   (** Record file name under the store directory. *)
   val records_file : string
-
-  (** Canonical representative recorded and compared (e.g. the
-      phase-canonical unitary). *)
-  val canonical : match_global_phase:bool -> entry -> entry
 
   (** Bucket key of a canonical entry (e.g. fingerprint hex). *)
   val key : entry -> string
@@ -83,9 +81,10 @@ module Make (C : CODEC) : sig
   (** Fold over every in-memory entry, in unspecified order. *)
   val fold : t -> init:'a -> (C.entry -> 'a -> 'a) -> 'a
 
-  (** Canonicalize, key and queue an entry for persistence (no-op if the
-      codec says an equal entry is already held).  Thread-safe; nothing
-      touches the disk until {!flush}. *)
+  (** Key and queue a canonical entry for persistence (no-op if the
+      codec says an equal entry is already held).  The entry is keyed
+      as given, like a loaded record.  Thread-safe; nothing touches the
+      disk until {!flush}. *)
   val record : t -> C.entry -> unit
 
   (** Persist pending records under the in-process and on-disk locks,

@@ -7,6 +7,14 @@
    record file so a second `epoc` invocation on the same (or a similar)
    circuit starts from the previous run's pulses.
 
+   Every record carries the [Hardware.context] of the model its pulse
+   was solved on, keyed like the library ([Library.key]): [""] (the
+   default chain) keys by the bare fingerprint, so default records keep
+   their schema-1 keys.  Queries answer only within one context, so a
+   device block's pulse never answers a default-chain probe, the
+   reverse, or a probe on another calibration of the same device name
+   (device contexts carry a digest of the device).
+
    All of the JSONL mechanics — versioned header, quarantine on header
    mismatch, torn-trailing-record skip, lockf + mutex flush locking,
    atomic merge-flush — live in the generic [Persistent.Make] functor;
@@ -19,13 +27,14 @@ open Epoc_pulse
 module Json = Epoc_obs.Json
 
 let log_src = Persistent.log_src
-let schema_version = 1
+let schema_version = 2
 
 type entry = {
   unitary : Mat.t; (* canonical-phase representative *)
   duration : float; (* ns *)
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option; (* control amplitudes, for warm starts *)
+  context : string; (* Hardware.context of the model it was solved on *)
 }
 
 (* --- (de)serialization ---------------------------------------------------- *)
@@ -84,20 +93,18 @@ module Codec = struct
   let schema_version = schema_version
   let records_file = "pulses.jsonl"
 
-  let canonical ~match_global_phase e =
-    if match_global_phase then { e with unitary = Mat.canonical_phase e.unitary }
-    else e
-
-  let key e = Digest.to_hex (Library.fingerprint e.unitary)
+  let key e = Digest.to_hex (Library.key ~context:e.context e.unitary)
 
   let equal ~match_global_phase a b =
-    entry_matches ~match_global_phase a.unitary b.unitary
+    a.context = b.context
+    && entry_matches ~match_global_phase a.unitary b.unitary
 
   let to_line ~key (e : entry) =
     Json.to_string
       (Json.Obj
          [
            ("key", Json.Str key);
+           ("context", Json.Str e.context);
            ("dim", Json.of_int (Mat.rows e.unitary));
            ("duration", Json.Num e.duration);
            ("fidelity", Json.Num e.fidelity);
@@ -111,12 +118,14 @@ module Codec = struct
     | Error m -> Error m
     | Ok j -> (
         match
-          ( Option.bind (Json.member "dim" j) Json.to_int,
+          ( Option.bind (Json.member "context" j) Json.to_str,
+            Option.bind (Json.member "dim" j) Json.to_int,
             Option.bind (Json.member "duration" j) Json.to_num,
             Option.bind (Json.member "fidelity" j) Json.to_num,
             Json.member "unitary" j )
         with
-        | Some dim, Some duration, Some fidelity, Some uj when dim >= 1 -> (
+        | Some context, Some dim, Some duration, Some fidelity, Some uj
+          when dim >= 1 -> (
             match Mat_json.of_json dim uj with
             | None -> Error "bad unitary array"
             | Some unitary ->
@@ -125,7 +134,7 @@ module Codec = struct
                   | None | Some Json.Null -> None
                   | Some pj -> pulse_of_json pj
                 in
-                Ok { unitary; duration; fidelity; pulse })
+                Ok { unitary; duration; fidelity; pulse; context })
         | _ -> Error "missing record fields")
 end
 
@@ -146,22 +155,22 @@ let merged_count = P.merged_count
 let canonical t u =
   if P.match_global_phase t then Mat.canonical_phase u else u
 
-let find t (u : Mat.t) =
+let find ?(context = "") t (u : Mat.t) =
   let cu = canonical t u in
-  let probe = { unitary = cu; duration = 0.0; fidelity = 0.0; pulse = None } in
-  P.find t ~key:(Codec.key probe) (fun e ->
+  P.find t ~key:(Digest.to_hex (Library.key ~context cu)) (fun e ->
       entry_matches ~match_global_phase:(P.match_global_phase t) e.unitary cu)
 
-(* Closest stored pulse of the same dimension under the global-phase-
-   invariant Hilbert-Schmidt distance; only entries that carry control
-   amplitudes qualify (the point is seeding GRAPE).  [max_distance]
-   bounds how dissimilar a warm start may be — past it, a random cold
-   start converges just as fast. *)
-let nearest ?(max_distance = 0.15) t (u : Mat.t) =
+(* Closest stored pulse of the same dimension and context under the
+   global-phase-invariant Hilbert-Schmidt distance; only entries that
+   carry control amplitudes qualify (the point is seeding GRAPE).
+   [max_distance] bounds how dissimilar a warm start may be — past it, a
+   random cold start converges just as fast. *)
+let nearest ?(context = "") ?(max_distance = 0.15) t (u : Mat.t) =
   let cu = canonical t u in
   let dim = Mat.rows cu in
   P.fold t ~init:None (fun e best ->
-      if e.pulse = None || Mat.rows e.unitary <> dim then best
+      if e.pulse = None || Mat.rows e.unitary <> dim || e.context <> context
+      then best
       else
         let d = Mat.hs_distance e.unitary cu in
         match best with
@@ -171,15 +180,26 @@ let nearest ?(max_distance = 0.15) t (u : Mat.t) =
 
 (* --- recording / flush ----------------------------------------------------- *)
 
-let record t (u : Mat.t) ~duration ~fidelity ?pulse () =
-  P.record t { unitary = u; duration; fidelity; pulse }
+let record ?(context = "") t (u : Mat.t) ~duration ~fidelity ?pulse () =
+  P.record t { unitary = canonical t u; duration; fidelity; pulse; context }
 
 (* Queue every library entry the store does not already hold.  Called at
    pipeline end, after the candidate forks have been absorbed back into
-   the shared library, so one flush persists the whole run's new pulses. *)
+   the shared library, so one flush persists the whole run's new pulses.
+   Under a shared phase convention the entries are already canonical and
+   are recorded as-is: re-canonicalizing is not bit-idempotent and could
+   move a near-tied entry onto a key no probe computes. *)
 let absorb_library t (lib : Library.t) =
+  let same = Library.match_global_phase lib = P.match_global_phase t in
   Library.fold_entries lib ~init:() (fun (e : Library.entry) () ->
-      record t e.Library.unitary ~duration:e.Library.duration
-        ~fidelity:e.Library.fidelity ?pulse:e.Library.pulse ())
+      let u = e.Library.unitary in
+      P.record t
+        {
+          unitary = (if same then u else canonical t u);
+          duration = e.Library.duration;
+          fidelity = e.Library.fidelity;
+          pulse = e.Library.pulse;
+          context = e.Library.context;
+        })
 
 let flush = P.flush

@@ -1,10 +1,14 @@
 (** Persistent pulse store: the crash-safe on-disk half of the pulse library.
 
     A store maps the quantized, global-phase-canonical
-    {!Epoc_pulse.Library.fingerprint} of a unitary to previously
-    synthesized pulses, so a second [epoc] invocation reuses the first
-    one's GRAPE results (exact hits) or starts GRAPE from a similar
-    cached pulse (near hits).
+    {!Epoc_pulse.Library.key} of a unitary under a hardware context to
+    previously synthesized pulses, so a second [epoc] invocation reuses
+    the first one's GRAPE results (exact hits) or starts GRAPE from a
+    similar cached pulse (near hits).  Every record carries the
+    [Hardware.context] of the model its pulse was solved on ([""] for
+    the default chain, whose keys are the bare fingerprints), and
+    queries answer only within one context: a device block's pulse
+    never answers a probe on another model.
 
     On-disk format, under the store directory:
 
@@ -13,7 +17,8 @@
       (a torn trailing write can only damage one record) and a header
       mismatch — foreign format, different [schema_version], different
       global-phase convention — makes the store start empty rather than
-      mis-read the records.
+      mis-read the records (a schema-1 file, written before records
+      carried a context, is discarded once and refills).
     - [lock] — advisory lock file ([Unix.lockf]) serializing flushes
       between concurrent [epoc] processes.
 
@@ -40,6 +45,7 @@ type entry = {
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option;
       (** control amplitudes, for warm starts *)
+  context : string;  (** [Hardware.context] the pulse was solved on *)
 }
 
 type t
@@ -51,19 +57,28 @@ type t
     next flush). *)
 val open_dir : ?match_global_phase:bool -> string -> t
 
-(** Exact lookup: the stored entry whose unitary matches [u] (up to
-    global phase when the store matches phases), if any. *)
-val find : t -> Mat.t -> entry option
+(** Exact lookup: the stored entry under [context] (default [""])
+    whose unitary matches [u] (up to global phase when the store matches
+    phases), if any. *)
+val find : ?context:string -> t -> Mat.t -> entry option
 
-(** Closest stored pulse of the same dimension under the global-phase-
-    invariant Hilbert-Schmidt distance, for seeding GRAPE.  Only entries
-    carrying control amplitudes qualify.  [max_distance] (default 0.15)
-    bounds how dissimilar a warm start may be. *)
-val nearest : ?max_distance:float -> t -> Mat.t -> (entry * float) option
+(** Closest stored pulse of the same dimension under [context] (default
+    [""]) and the global-phase-invariant Hilbert-Schmidt distance, for
+    seeding GRAPE.  Only entries carrying control amplitudes qualify.
+    [max_distance] (default 0.15) bounds how dissimilar a warm start
+    may be. *)
+val nearest :
+  ?context:string ->
+  ?max_distance:float ->
+  t ->
+  Mat.t ->
+  (entry * float) option
 
-(** Queue a pulse for persistence (no-op if an equal unitary is already
-    stored).  Thread-safe; nothing touches the disk until {!flush}. *)
+(** Queue a pulse solved under [context] (default [""]) for persistence
+    (no-op if an equal unitary is already stored under that context).
+    Thread-safe; nothing touches the disk until {!flush}. *)
 val record :
+  ?context:string ->
   t ->
   Mat.t ->
   duration:float ->
@@ -72,9 +87,12 @@ val record :
   unit ->
   unit
 
-(** Queue every library entry the store does not already hold.  Called at
-    pipeline end, after candidate forks were absorbed, so one {!flush}
-    persists the whole run's new pulses. *)
+(** Queue every library entry the store does not already hold, under
+    the entry's context.  Called at pipeline end, after candidate forks
+    were absorbed, so one {!flush} persists the whole run's new pulses.
+    When library and store share the phase convention, entries are
+    recorded as-is (they are already canonical), so the warm run's
+    probes compute exactly the stored keys. *)
 val absorb_library : t -> Library.t -> unit
 
 (** Persist pending records under the in-process and on-disk locks,

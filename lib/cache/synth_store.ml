@@ -168,10 +168,6 @@ module Codec = struct
   let schema_version = schema_version
   let records_file = "synth.jsonl"
 
-  let canonical ~match_global_phase e =
-    if match_global_phase then { e with unitary = Mat.canonical_phase e.unitary }
-    else e
-
   let key e = Digest.to_hex (Library.fingerprint e.unitary)
 
   let equal ~match_global_phase a b =
@@ -249,8 +245,10 @@ let probe_entry u =
     prunes = 0;
   }
 
+let canonical t u = if P.match_global_phase t then Mat.canonical_phase u else u
+
 let find t (u : Mat.t) =
-  let cu = if P.match_global_phase t then Mat.canonical_phase u else u in
+  let cu = canonical t u in
   P.find t ~key:(Codec.key (probe_entry cu)) (fun e ->
       entry_matches ~match_global_phase:(P.match_global_phase t) e.unitary cu)
 
@@ -258,7 +256,7 @@ let record t (u : Mat.t) (r : Synthesis.block_result) =
   if r.Synthesis.failure = None then
     P.record t
       {
-        unitary = u;
+        unitary = canonical t u;
         circuit = r.Synthesis.circuit;
         source = r.Synthesis.source;
         distance = r.Synthesis.distance;

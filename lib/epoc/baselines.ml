@@ -40,13 +40,20 @@ let lower_pass =
       let lowered = Lower.to_zx_basis ir.Ir.circuit in
       { ir with Ir.circuit = lowered; vug_circuit = lowered })
 
-(* One calibrated pulse per gate; virtual gates are dropped. *)
+(* One calibrated pulse per gate; virtual gates are dropped.  Gates are
+   priced on the two-qubit default model: the reference gate times do
+   not depend on the model's width, so a circuit-wide Hamiltonian would
+   only cost 2^n memory. *)
 let gate_pulses_pass =
   Pass.make "gate-pulses"
     ~counters:(fun _ (ir : Ir.t) ->
       [ ("instructions", List.length ir.Ir.instructions) ])
     (fun ctx ir ->
-      let hw = ctx.Pass.hardware (max 2 ir.Ir.n) in
+      let config = ctx.Pass.config in
+      let hw =
+        Epoc_qoc.Hardware.make ~dt:config.Config.dt
+          ~t_coherence:config.Config.t_coherence 2
+      in
       let instructions =
         List.filter_map
           (fun (op : Circuit.op) ->

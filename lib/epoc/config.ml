@@ -55,11 +55,10 @@ type t = {
      never capture) *)
   flight_capacity : int;
   slow_trace_s : float option;
-  (* target device ([None] = the historical default chain model, kept
-     bit-identical).  Set via [with_device] so [dt]/[t_coherence] stay
-     consistent with the device's calibration; partitioning, block
-     hardware models, library/store keys and pulse-IR provenance all
-     read it *)
+  (* target device ([None] = the default chain model).  Set via
+     [with_device] so [dt]/[t_coherence] stay consistent with the
+     device's calibration; only the block-model lookup
+     (Engine.hardware_for_block) and the partition coupling read it *)
   device : Epoc_device.Device.t option;
 }
 
@@ -108,9 +107,9 @@ let default =
 
 (* Select a device: the one entry point for device-aware compilation.
    The device's slot duration and coherence time override the config's —
-   every consumer of [dt]/[t_coherence] (width-keyed hardware memo, ESP,
-   budget pricing) then agrees with the block models built from the
-   device's coupling graph. *)
+   every consumer of [dt]/[t_coherence] (ESP, gate-flow pricing, budget
+   pricing) then agrees with the block models built from the device's
+   coupling graph. *)
 let with_device d config =
   {
     config with
@@ -118,6 +117,16 @@ let with_device d config =
     dt = d.Epoc_device.Device.dt;
     t_coherence = d.Epoc_device.Device.t_coherence;
   }
+
+(* Resolve an optional --device NAME|FILE spec against [registry] and
+   select the device. *)
+let resolve_device registry spec config =
+  match spec with
+  | None -> Ok config
+  | Some spec ->
+      Result.map
+        (fun d -> with_device d config)
+        (Epoc_device.Device.Registry.resolve registry spec)
 
 (* Reference EPOC configuration with real GRAPE pulses. *)
 let grape = { default with qoc_mode = Grape }

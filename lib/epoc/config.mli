@@ -67,8 +67,12 @@ type t = {
           meets it gets its full Chrome trace captured in the flight
           recorder ([None] = never capture) *)
   device : Epoc_device.Device.t option;
-      (** target device; [None] is the historical default chain model
-          (bit-identical to pre-device releases).  Set it through
+      (** target device; [None] is the default model, a uniform chain
+          over each block's local qubits.  Read only by the block-model
+          lookup ({!Engine.hardware_for_block}) and the partition
+          coupling; pulse reuse is scoped by the block model's
+          [Hardware.context], so device runs share the library and the
+          persistent store with everything else.  Set it through
           {!with_device}, which keeps [dt]/[t_coherence] consistent
           with the device calibration. *)
 }
@@ -77,12 +81,22 @@ type t = {
 val default : t
 
 (** Select a device: sets [device] and overrides [dt]/[t_coherence]
-    from its calibration, so the width-keyed hardware memo, ESP and
-    budget pricing agree with the block models built from the device's
-    coupling graph.  The one entry point for device-aware compilation —
-    the CLI ([--device]/[EPOC_DEVICE]), the serve protocol's ["device"]
-    field and the bench device sweep all go through it. *)
+    from its calibration, so ESP, gate-flow pricing and budget pricing
+    agree with the block models built from the device's coupling graph.
+    The one entry point for device-aware compilation — the CLI
+    ([--device]/[EPOC_DEVICE]), the serve protocol's ["device"] field
+    and the bench device sweep all go through it. *)
 val with_device : Epoc_device.Device.t -> t -> t
+
+(** [resolve_device registry spec config]: {!with_device} on the device
+    a [--device NAME|FILE] spec resolves to in [registry]; [Ok config]
+    when [spec] is [None], the registry's message when it does not
+    resolve. *)
+val resolve_device :
+  Epoc_device.Device.Registry.registry ->
+  string option ->
+  t ->
+  (t, string) result
 
 (** Reference EPOC configuration with real GRAPE pulses. *)
 val grape : t

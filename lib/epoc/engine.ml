@@ -108,22 +108,11 @@ let flight t = t.flight
 let next_request_id t =
   Printf.sprintf "r%d" (Atomic.fetch_and_add t.next_rid 1)
 
-(* Hardware model under [config]'s physical parameters, memoized on the
-   engine.  Width-keyed: the default chain topology (used by the
-   baselines' reference gate times, and by every block when no device is
-   configured). *)
-let hardware_for t (config : Config.t) k =
-  Hardware.Memo.get t.hardware ~dt:config.Config.dt
-    ~t_coherence:config.Config.t_coherence k
-
-(* Block-keyed hardware model: the 2^k model of one partition block.
-   Without a device this is exactly the width-keyed chain (bit-identical
-   legacy path); with one it is the device's coupling subgraph on the
-   block's global qubits, memoized per (device, block). *)
+(* The model of one partition block, memoized on the engine: the one
+   source of block models.  Its context tag scopes pulse reuse. *)
 let hardware_for_block t (config : Config.t) qubits =
-  match config.Config.device with
-  | None -> hardware_for t config (List.length qubits)
-  | Some d -> Hardware.Memo.get_block t.hardware d ~qubits
+  Hardware.Memo.get t.hardware ?device:config.Config.device ~dt:config.Config.dt
+    ~t_coherence:config.Config.t_coherence qubits
 
 (* Flush both persistent stores once (no-op without stores, or with
    nothing pending).  Sessions flush after each run; the serve daemon
@@ -162,18 +151,13 @@ type session = {
 (* The session library for [config]: the caller's, or the engine's when
    this request's matching convention agrees with it — a phase-sensitive
    request (AccQOC/PAQOC configs) against a phase-invariant engine
-   library would otherwise alias distinct unitaries.  Device runs get a
-   private library too: the engine's shared table feeds the persistent
-   store at flush time, and both are calibrated to the default chain
-   model — a device block's pulse priced on a different coupling
-   subgraph must never leak into them (within the run, entries are
-   additionally tagged with the block's coupling context). *)
+   library would otherwise alias distinct unitaries.  Device runs share
+   it too: their entries carry the block's hardware context, so they
+   never answer a probe on another model. *)
 let library_for t (config : Config.t) = function
   | Some l -> l
   | None ->
-      if config.Config.device <> None then
-        Library.create ~match_global_phase:config.Config.match_global_phase ()
-      else if
+      if
         Library.match_global_phase t.library
         = config.Config.match_global_phase
       then t.library

@@ -74,17 +74,13 @@ val flight : t -> Epoc_obs.Flight.t
     caller does not supply its own. *)
 val next_request_id : t -> string
 
-(** Hardware model for [k] qubits under [config]'s physical parameters,
-    memoized on the engine.  Width-keyed: the default chain topology
-    (the baselines' reference gate times, and every block when no
-    device is configured). *)
-val hardware_for : t -> Config.t -> int -> Hardware.t
-
-(** Hardware model of one partition block (global qubit indices).
-    Without a configured device this is {!hardware_for} on the block
-    width — the bit-identical legacy path; with one it is the device's
-    coupling subgraph on those qubits ({!Hardware.of_device}), memoized
-    per (device, block). *)
+(** Hardware model of one partition block (global qubit indices),
+    memoized on the engine: the one source of block models.  The
+    device's coupling subgraph on those qubits ({!Hardware.of_device})
+    when [config] targets a device, otherwise the default chain over
+    the block's local qubits under [config]'s [dt]/[t_coherence].  Its
+    [Hardware.context] scopes every pulse-library and pulse-store
+    entry solved on it. *)
 val hardware_for_block : t -> Config.t -> int list -> Hardware.t
 
 (** Flush both persistent stores once (no-op without stores or with

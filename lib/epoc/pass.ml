@@ -30,13 +30,9 @@ type ctx = {
   process : Metrics.t;
       (* the engine registry: wall-clock gauges and other infrastructure
          values that must stay out of the per-run registry *)
-  hardware : int -> Hardware.t;
-      (* width-keyed engine memo per (dt, t_coherence, k): the default
-         chain model, used for reference gate times *)
   hardware_block : int list -> Hardware.t;
-      (* block-keyed model on the configured device's coupling subgraph
-         (global qubit indices); identical to [hardware (length qs)]
-         when no device is configured *)
+      (* the model of one block on its global qubits: the configured
+         device's coupling subgraph, or the default chain *)
   budget : Epoc_budget.t;
       (* run-level deadline from [config.total_deadline]; block solves
          derive per-attempt children capped by it *)
@@ -59,7 +55,6 @@ let of_session (s : Engine.session) =
     trace = Engine.session_trace s;
     metrics = Engine.session_metrics s;
     process = Engine.metrics engine;
-    hardware = (fun k -> Engine.hardware_for engine config k);
     hardware_block = (fun qs -> Engine.hardware_for_block engine config qs);
     budget = Engine.session_budget s;
     fault = Engine.session_fault s;

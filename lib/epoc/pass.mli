@@ -37,14 +37,10 @@ type ctx = {
       (** the engine registry: wall-clock gauges and other
           infrastructure values that must stay out of the per-run
           registry *)
-  hardware : int -> Hardware.t;
-      (** width-keyed engine memo per (dt, t_coherence, k): the default
-          chain model, used for reference gate times *)
   hardware_block : int list -> Hardware.t;
-      (** block-keyed model on the configured device's coupling
-          subgraph (global qubit indices, via
-          {!Engine.hardware_for_block}); identical to
-          [hardware (List.length qs)] when no device is configured *)
+      (** the model of one block on its global qubits
+          ({!Engine.hardware_for_block}): the configured device's
+          coupling subgraph, or the default chain *)
   budget : Epoc_budget.t;
       (** run-level deadline from [Config.total_deadline] (unlimited
           when unset), started when the session was opened; block

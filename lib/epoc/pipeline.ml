@@ -25,9 +25,7 @@
    in candidate order under "candN/" prefixes.  The trace rides on the
    result and is the only non-deterministic part of it (wall-clock). *)
 
-open Epoc_linalg
 open Epoc_circuit
-open Epoc_qoc
 open Epoc_pulse
 open Epoc_parallel
 module Metrics = Epoc_obs.Metrics
@@ -71,20 +69,6 @@ type flow = {
     Pass.ctx -> Circuit.t -> (Circuit.t * bool) list * (string * int) list;
   passes : Config.t -> Pass.t list;
 }
-
-(* Library-backed resolution of a single unitary, for callers outside the
-   batched pipeline path. *)
-let pulse_for (config : Config.t) (library : Library.t) (hw_block : Hardware.t)
-    ~(vug_circuit : Circuit.t) (u : Mat.t) =
-  match Library.find library u with
-  | Some e -> (e.Library.duration, e.Library.fidelity)
-  | None ->
-      let r = Stages.compute_pulse config hw_block ~vug_circuit u in
-      (* degraded results are block-local prices, never library entries *)
-      if not r.Ir.jr_fallback then
-        Library.add library u ~duration:r.Ir.jr_duration
-          ~fidelity:r.Ir.jr_fidelity ?pulse:r.Ir.jr_pulse ();
-      (r.Ir.jr_duration, r.Ir.jr_fidelity)
 
 (* The EPOC per-candidate pipeline, declaratively derived from the
    config: which passes run (reorder, regroup sweep vs trivial grouping)
@@ -237,21 +221,18 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
         m "%s: %d block(s) degraded to gate-pulse playback" name
           stats.degraded_blocks);
   (* persist the run's new pulses: sweep the merged library into the
-     store and flush once, after all candidates were absorbed.  The
-     gauge reports the merged on-disk entry count, which stays honest
-     after a torn-write recovery (skipped lines are not entries).
-     Device runs never feed the store: their pulses are priced on the
-     device's coupling subgraphs, not the default chain model the store
-     is calibrated to (resolution skipped the store probes for the same
-     reason). *)
-  if config.Config.device = None then
-    Option.iter
-      (fun store ->
-        Store.absorb_library store library;
-        Store.flush store;
-        Metrics.set metrics "cache.entries"
-          (float_of_int (Store.merged_count store)))
-      cache;
+     store and flush once, after all candidates were absorbed.  Entries
+     carry their hardware context, so device pulses persist too without
+     ever answering a probe on another model.  The gauge reports the
+     merged on-disk entry count, which stays honest after a torn-write
+     recovery (skipped lines are not entries). *)
+  Option.iter
+    (fun store ->
+      Store.absorb_library store library;
+      Store.flush store;
+      Metrics.set metrics "cache.entries"
+        (float_of_int (Store.merged_count store)))
+    cache;
   (* persist the run's fresh syntheses: candidates only probed the store
      during compilation and carried their fresh results on the IR, so
      recording here — in candidate order, then block order — keeps the

@@ -7,9 +7,7 @@
     bit-identical for any domain count.  The trace (wall clock) is the
     only non-deterministic part of a result. *)
 
-open Epoc_linalg
 open Epoc_circuit
-open Epoc_qoc
 open Epoc_pulse
 module Metrics = Epoc_obs.Metrics
 
@@ -56,16 +54,6 @@ type flow = {
     Pass.ctx -> Circuit.t -> (Circuit.t * bool) list * (string * int) list;
   passes : Config.t -> Pass.t list;
 }
-
-(** Library-backed resolution of a single unitary, for callers outside
-    the batched pipeline path. *)
-val pulse_for :
-  Config.t ->
-  Library.t ->
-  Hardware.t ->
-  vug_circuit:Circuit.t ->
-  Mat.t ->
-  float * float
 
 (** Compile a circuit through a flow, in a session: graph stage,
     candidate fan-out — each candidate against a fork of the library and

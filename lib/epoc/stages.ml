@@ -449,33 +449,22 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
     ?(budget = Epoc_budget.unlimited) (config : Config.t) pool library
     ~hardware_block jobs =
   let record f = Option.iter f metrics in
-  (* Device runs never touch the persistent store: its entries are priced
-     on the default chain model, and a device block's pulses must not
-     feed it either.  The session library is private under a device
-     (Engine.library_for), and entries are tagged below, so every layer
-     of reuse is scoped to the device's coupling contexts. *)
-  let cache = if config.Config.device = None then cache else None in
-  (* The block hardware model for a job, and the library tag scoping its
-     entries to that model's coupling context.  Legacy runs (no device)
-     use the empty historical tag without building the model, keeping
-     memo traffic identical. *)
+  (* The block hardware model of a job, and its context tag: every layer
+     of reuse — representatives, library, persistent store — is scoped
+     to the model a pulse was solved on. *)
   let hw_of (j : Ir.pulse_job) = hardware_block j.Ir.jqubits in
-  let tag_of (j : Ir.pulse_job) =
-    match config.Config.device with
-    | None -> ""
-    | Some _ -> (hw_of j).Hardware.context
-  in
+  let context_of (j : Ir.pulse_job) = (hw_of j).Hardware.context in
   (* Library miss: try the persistent store.  [true] = the store resolved
      the job (entry copied into the library), so it is not a rep. *)
-  let consult_cache (j : Ir.pulse_job) =
+  let consult_cache (j : Ir.pulse_job) ~context =
     match cache with
     | None -> false
     | Some store -> (
-        match Store.find store j.Ir.ju with
+        match Store.find ~context store j.Ir.ju with
         | Some e ->
             record (fun m -> Metrics.incr m "cache.hits");
             Library.note_cache_hit library;
-            Library.add library j.Ir.ju ~duration:e.Store.duration
+            Library.add ~context library j.Ir.ju ~duration:e.Store.duration
               ~fidelity:e.Store.fidelity ?pulse:e.Store.pulse ();
             j.Ir.resolved <- Some (e.Store.duration, e.Store.fidelity);
             j.Ir.jpulse <- e.Store.pulse;
@@ -483,7 +472,7 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
         | None ->
             record (fun m -> Metrics.incr m "cache.misses");
             (if config.Config.qoc_mode = Config.Grape then
-               match Store.nearest store j.Ir.ju with
+               match Store.nearest ~context store j.Ir.ju with
                | Some (e, _) ->
                    record (fun m -> Metrics.incr m "cache.near_hits");
                    j.Ir.jinit <-
@@ -493,48 +482,47 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
                | None -> ());
             false)
   in
-  let rep_tbl : (string, (Mat.t * Ir.pulse_job) list) Hashtbl.t =
+  let rep_tbl : (Digest.t, (Mat.t * Ir.pulse_job) list) Hashtbl.t =
     Hashtbl.create 64
   in
   let reps = ref [] in
   List.iter
     (fun (j : Ir.pulse_job) ->
-      let tag = tag_of j in
+      (* looking the model up here also warms the hardware memo before
+         the fan-out: phase 2 only reads it *)
+      let context = context_of j in
       let cu = Library.canonicalize library j.Ir.ju in
       (* equivalence is scoped to the hardware context: two blocks with
          the same unitary but different coupling subgraphs need distinct
-         pulses, so the tag prefixes the bucket key *)
-      let key = tag ^ Library.fingerprint cu in
+         pulses *)
+      let key = Library.key ~context cu in
       let bucket = Option.value ~default:[] (Hashtbl.find_opt rep_tbl key) in
       match
         List.find_opt (fun (cu', _) -> Library.matches library cu' cu) bucket
       with
       | Some (_, r) -> j.Ir.batch_rep <- Some r
       | None -> (
-          match Library.find ~tag library j.Ir.ju with
+          match Library.find ~context library j.Ir.ju with
           | Some e ->
               j.Ir.resolved <- Some (e.Library.duration, e.Library.fidelity);
               j.Ir.jpulse <- e.Library.pulse
           | None ->
-              if not (consult_cache j) then begin
+              if not (consult_cache j ~context) then begin
                 Hashtbl.replace rep_tbl key ((cu, j) :: bucket);
                 reps := j :: !reps
               end))
     jobs;
   let reps = List.rev !reps in
-  (* warm the hardware memo before fanning out: phase 2 only reads it *)
-  List.iter (fun (j : Ir.pulse_job) -> ignore (hw_of j)) reps;
   (match config.Config.qoc_mode with
   | Config.Grape ->
       (* group the representatives by block width and hardware context
-         (equal widths share a Hilbert-space dimension; under a device,
-         blocks on different coupling subgraphs have different
-         Hamiltonians and must not share a batch) in first-occurrence
-         order, and resolve each group as one batched computation: every
-         retry round runs one lockstep GRAPE batch over the group,
-         chunked across [pool] inside the solver.  Without a device the
-         context is always "" and the grouping degenerates to the
-         historical width-keyed one.  Grouping and batching are
+         (equal widths share a Hilbert-space dimension; blocks on
+         different coupling subgraphs have different Hamiltonians and
+         must not share a batch) in first-occurrence order, and resolve
+         each group as one batched computation: every retry round runs
+         one lockstep GRAPE batch over the group, chunked across [pool]
+         inside the solver.  Without a device the context is always ""
+         and the grouping is by width alone.  Grouping and batching are
          value-transparent (each job's solve is bit-identical to a solo
          run), so results and telemetry match the per-job fan-out this
          replaces. *)
@@ -544,7 +532,7 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
       in
       List.iter
         (fun (j : Ir.pulse_job) ->
-          let key = (j.Ir.jk, tag_of j) in
+          let key = (j.Ir.jk, context_of j) in
           match Hashtbl.find_opt by_group key with
           | Some l -> l := j :: !l
           | None ->
@@ -631,7 +619,7 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
       if j.Ir.resolved = None then
         match j.Ir.batch_rep with
         | Some r -> (
-            match Library.find ~tag:(tag_of j) library j.Ir.ju with
+            match Library.find ~context:(context_of j) library j.Ir.ju with
             | Some e ->
                 j.Ir.resolved <- Some (e.Library.duration, e.Library.fidelity);
                 j.Ir.jpulse <- e.Library.pulse
@@ -645,7 +633,7 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
             j.Ir.jretries <- r.Ir.jr_retries;
             if r.Ir.jr_fallback then j.Ir.jfallback <- true
             else begin
-              Library.add ~tag:(tag_of j) library j.Ir.ju
+              Library.add ~context:(context_of j) library j.Ir.ju
                 ~duration:r.Ir.jr_duration ~fidelity:r.Ir.jr_fidelity
                 ?pulse:r.Ir.jr_pulse ();
               j.Ir.jpulse <- r.Ir.jr_pulse

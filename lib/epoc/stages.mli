@@ -65,13 +65,11 @@ val similarity_chain : Mat.t array -> int array
 
 (** Resolve a batch of pulse jobs in place against [library], returning
     [(jobs, fresh computations)].  Three phases: a sequential probe
-    (library, then — legacy runs only — the persistent store), a
-    parallel/batched compute of the unresolved representatives grouped
-    by (width, hardware context), and a sequential writeback.  Under a
-    device config ([config.device <> None]) the job's block model comes
-    from [hardware_block] on its global qubits, library keys are tagged
-    with the block's coupling context, and the persistent store is
-    never consulted. *)
+    (library, then the persistent store), a parallel/batched compute of
+    the unresolved representatives grouped by (width, hardware
+    context), and a sequential writeback.  Each job's block model comes
+    from [hardware_block] on its global qubits, and its
+    [Hardware.context] scopes every library and store probe. *)
 val resolve_pulses :
   ?request_id:string ->
   ?metrics:Metrics.t ->

@@ -21,6 +21,7 @@ type entry = {
   duration : float;
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option;
+  context : string; (* Hardware.context of the model it was solved on *)
 }
 
 type t = {
@@ -73,19 +74,18 @@ let matches lib stored probe =
   if lib.match_global_phase then Mat.equal_up_to_phase ~eps:1e-6 stored probe
   else Mat.approx_equal ~eps:1e-6 stored probe
 
-(* Bucket key of a canonical unitary under a hardware-context tag.  The
-   empty tag is the historical key (a bare matrix fingerprint), so
-   legacy lookups and persisted fingerprints are unchanged; device runs
-   tag entries with the block's coupling context
-   ("<device>[qubits]") because the same unitary priced on different
-   coupling subgraphs yields different pulses. *)
-let key_of ?(tag = "") cu =
+(* Bucket key of a canonical unitary under a hardware context.  The
+   default context "" keys by the bare matrix fingerprint, so default
+   lookups and persisted fingerprints never change; device blocks
+   ("<device>#<digest>[qubits]") get their own keys because the same
+   unitary priced on different block models yields different pulses. *)
+let key ?(context = "") cu =
   let fp = fingerprint cu in
-  if tag = "" then fp else Digest.string (tag ^ fp)
+  if context = "" then fp else Digest.string (context ^ fp)
 
-let find ?tag lib (u : Mat.t) =
+let find ?(context = "") lib (u : Mat.t) =
   let cu = canonicalize lib u in
-  let key = key_of ?tag cu in
+  let key = key ~context cu in
   locked lib (fun () ->
       let bucket = Option.value ~default:[] (Hashtbl.find_opt lib.table key) in
       match List.find_opt (fun e -> matches lib e.unitary cu) bucket with
@@ -96,13 +96,13 @@ let find ?tag lib (u : Mat.t) =
           lib.misses <- lib.misses + 1;
           None)
 
-let add ?tag lib (u : Mat.t) ~duration ~fidelity ?pulse () =
+let add ?(context = "") lib (u : Mat.t) ~duration ~fidelity ?pulse () =
   let cu = canonicalize lib u in
-  let key = key_of ?tag cu in
+  let key = key ~context cu in
   locked lib (fun () ->
       let bucket = Option.value ~default:[] (Hashtbl.find_opt lib.table key) in
       Hashtbl.replace lib.table key
-        ({ unitary = cu; duration; fidelity; pulse } :: bucket))
+        ({ unitary = cu; duration; fidelity; pulse; context } :: bucket))
 
 (* A miss that the persistent on-disk store (lib/cache) resolved instead
    of GRAPE.  Kept next to hits/misses so [stats] shows how much of the

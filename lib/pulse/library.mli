@@ -18,6 +18,9 @@ type entry = {
   duration : float;  (** ns *)
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option;
+  context : string;
+      (** the [Hardware.context] of the model the pulse was solved on;
+          [""] for the default chain *)
 }
 
 type t
@@ -50,19 +53,24 @@ val canonicalize : t -> Mat.t -> Mat.t
     Both arguments are expected already {!canonicalize}d. *)
 val matches : t -> Mat.t -> Mat.t -> bool
 
-(** Lookup, counting a hit or a miss.  The probe is phase-canonicalized
-    when the library matches phases.  [tag] scopes the key to a
-    hardware context (a device block's coupling subgraph, via
-    [Hardware.context]): the same unitary priced on different coupling
-    graphs yields different pulses, so tagged entries never alias
-    across contexts.  The default empty tag is the historical key, so
-    legacy traffic is unchanged. *)
-val find : ?tag:string -> t -> Mat.t -> entry option
+(** Bucket key of an already-{!canonicalize}d unitary under a hardware
+    [context] (default [""]): the bare {!fingerprint} for the default
+    context, so default-context keys never change, and a digest of
+    context and fingerprint otherwise.  The persistent store keys its
+    records the same way. *)
+val key : ?context:string -> Mat.t -> Digest.t
 
-(** Insert a pulse for [u] (stored under its canonical phase), keyed
-    under [tag] like {!find}. *)
+(** Lookup, counting a hit or a miss.  The probe is phase-canonicalized
+    when the library matches phases.  [context] (a [Hardware.context],
+    default [""]) scopes the lookup to one hardware model: the same
+    unitary priced on different coupling graphs yields different
+    pulses, so entries never answer across contexts. *)
+val find : ?context:string -> t -> Mat.t -> entry option
+
+(** Insert a pulse for [u] (stored under its canonical phase), under
+    [context] like {!find}. *)
 val add :
-  ?tag:string ->
+  ?context:string ->
   t ->
   Mat.t ->
   duration:float ->

@@ -15,7 +15,7 @@
    op on slice [i] is the exact floating-point operation sequence of the
    per-matrix op (lib/linalg/kernels.ml), and all per-job scalar state
    (RNG, Adam moments, stop logic) is private to the job, so a job's
-   result is bit-identical whatever batch it rides in — [optimize] is
+   result is bit-identical whatever batch it rides in — [optimize_r] is
    literally a batch of one.  Execution choices (chunking over the
    domain pool, EPOC_JOBS) can change only wall-clock, never values.
 
@@ -967,9 +967,9 @@ let optimize_batch ?pool ?workspace:ws_opt (jobs : batch_job array) =
         if dim <> dim0 then
           invalid_arg "Grape.optimize_batch: mixed dimensions";
         if Mat.rows bj.bj_target <> dim then
-          invalid_arg "Grape.optimize: dimension mismatch";
+          invalid_arg "Grape.optimize_batch: dimension mismatch";
         if bj.bj_slots < 1 then
-          invalid_arg "Grape.optimize: need at least one slot")
+          invalid_arg "Grape.optimize_batch: need at least one slot")
       jobs;
     let t0 = Monotonic_clock.now () in
     let ws = match ws_opt with Some w -> w | None -> workspace () in
@@ -1045,19 +1045,10 @@ let optimize_batch ?pool ?workspace:ws_opt (jobs : batch_job array) =
     Array.map finalize sts
   end
 
-let optimize ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace
-    (hw : Hardware.t) ~(target : Mat.t) ~(slots : int) =
+(* Result-returning entry point: a batch of one. *)
+let optimize_r ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace hw
+    ~target ~slots =
   let bj =
     batch_job ?options ?rng ?budget ?fault ?site ?attempt hw ~target ~slots
   in
-  match (optimize_batch ?pool ?workspace [| bj |]).(0) with
-  | Ok r -> r
-  | Error e -> Epoc_error.raise_ e
-
-(* Result-returning entry point: the supported API.  [optimize] raising
-   [Epoc_error.Error] is kept for internal loop-abort plumbing. *)
-let optimize_r ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace hw
-    ~target ~slots =
-  Epoc_error.wrap (fun () ->
-      optimize ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace hw
-        ~target ~slots)
+  (optimize_batch ?pool ?workspace [| bj |]).(0)

@@ -5,11 +5,10 @@
     fidelity [F = |tr(U_target^dag U)| / d], ascended with Adam under
     amplitude clipping.
 
-    {!optimize_r} is the supported entry point: it returns a [result]
-    and maps divergence (non-finite fidelity), expired
-    {!Epoc_budget.t} deadlines and injected {!Epoc_fault} faults to
-    typed {!Epoc_error.t} values.  {!optimize} is the legacy wrapper
-    that lets {!Epoc_error.Error} escape as an exception.
+    {!optimize_r} solves one target: it returns a [result] and maps
+    divergence (non-finite fidelity), expired {!Epoc_budget.t}
+    deadlines and injected {!Epoc_fault} faults to typed
+    {!Epoc_error.t} values.
 
     {!optimize_batch} advances many independent equal-dimension solves
     in lockstep over one contiguous {!Epoc_linalg.Batch} per time
@@ -88,11 +87,11 @@ val fidelity_of : Mat.t -> Mat.t -> float
 (** {1 Batched solving} *)
 
 (** One solve request for {!optimize_batch}: the same inputs
-    {!optimize} takes, packaged as a value. *)
+    {!optimize_r} takes, packaged as a value. *)
 type batch_job
 
 (** [batch_job hw ~target ~slots] with the same optional arguments (and
-    defaults) as {!optimize}. *)
+    defaults) as {!optimize_r}. *)
 val batch_job :
   ?options:options ->
   ?rng:Random.State.t ->
@@ -140,7 +139,7 @@ val optimize_batch :
   batch_job array ->
   (result, Epoc_error.t) Result.t array
 
-(** Result-returning optimization — the supported API.
+(** Result-returning optimization: a batch of one.
 
     [budget] is checked every iteration and yields
     [Error (Deadline_exceeded _)]; a non-finite fidelity (or an
@@ -167,24 +166,3 @@ val optimize_r :
   target:Mat.t ->
   slots:int ->
   (result, Epoc_error.t) Result.t
-
-(** Legacy exception-raising wrapper around the same optimization: lets
-    {!Epoc_error.Error} escape instead of returning it.  Kept for
-    callers predating the typed error channel.
-
-    @raise Epoc_error.Error on divergence or an expired deadline.
-    @raise Invalid_argument on dimension mismatch or [slots < 1]. *)
-val optimize :
-  ?options:options ->
-  ?rng:Random.State.t ->
-  ?budget:Epoc_budget.t ->
-  ?fault:Epoc_fault.spec ->
-  ?site:string ->
-  ?attempt:int ->
-  ?pool:Epoc_parallel.Pool.t ->
-  ?workspace:workspace ->
-  Hardware.t ->
-  target:Mat.t ->
-  slots:int ->
-  result
-

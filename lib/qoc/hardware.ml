@@ -25,14 +25,12 @@
    subgraph is disconnected (a two-qubit gate between non-adjacent
    device qubits — there is no router) get virtual couplings along
    shortest parent-graph paths with J_eff = J_path / distance, the
-   pulse-level routing abstraction that replaces the old blind chain
-   fallback in [sub_block].
+   pulse-level routing abstraction.
 
    The drift and control Hamiltonians are built eagerly and stored on
-   the record: GRAPE reads them once per [optimize] call, and the
-   pipeline memoizes models per (parameters, width) and per
-   (device, block) in [Memo], so the Pauli embeddings are not rebuilt
-   for every group of every candidate. *)
+   the record: GRAPE reads them once per [optimize_r] call, and the
+   pipeline memoizes block models in [Memo], so the Pauli embeddings
+   are not rebuilt for every group of every candidate. *)
 
 open Epoc_linalg
 open Epoc_circuit
@@ -44,7 +42,6 @@ type t = {
   n : int;
   dt : float; (* GRAPE slot duration, ns *)
   drive_limit : float; (* max |u_j|, rad/ns *)
-  coupling : (int * int) list; (* coupled qubit pairs *)
   couplings : (int * int * float) list; (* (a, b, J_ab) in rad/ns *)
   coupling_strength : float; (* representative J (min over pairs), rad/ns *)
   t_coherence : float; (* effective coherence time, ns (for ESP) *)
@@ -105,22 +102,17 @@ let min_strength ~default couplings =
     (fun acc (_, _, j) -> if j > 0.0 then Float.min acc j else acc)
     default couplings
 
-(* Default: linear-chain coupling. *)
-let make ?(dt = 0.5) ?(drive_ghz = 0.05) ?(coupling_ghz = 0.005)
-    ?(t_coherence = 100_000.0) ?coupling n =
+(* Default: linear chain, uniform 0.005 GHz coupling, 0.05 GHz drive. *)
+let make ?(dt = 0.5) ?(t_coherence = 100_000.0) n =
   if n < 1 then invalid_arg "Hardware.make: need at least one qubit";
-  let coupling =
-    match coupling with
-    | Some c -> c
-    | None -> List.init (max 0 (n - 1)) (fun i -> (i, i + 1))
+  let coupling_strength = two_pi *. 0.005 in
+  let couplings =
+    List.init (max 0 (n - 1)) (fun i -> (i, i + 1, coupling_strength))
   in
-  let coupling_strength = two_pi *. coupling_ghz in
-  let couplings = List.map (fun (a, b) -> (a, b, coupling_strength)) coupling in
   {
     n;
     dt;
-    drive_limit = two_pi *. drive_ghz;
-    coupling;
+    drive_limit = two_pi *. 0.05;
     couplings;
     coupling_strength;
     t_coherence;
@@ -157,6 +149,14 @@ let components ~k edges =
   Array.map root comp
 
 let string_of_qubits qs = String.concat "," (List.map string_of_int qs)
+
+(* A device's identity for pulse reuse: its name and a short digest of
+   its canonical serialization, which covers every calibration value the
+   block models are built from.  Two devices sharing a name (an edited
+   device file, or a file shadowing a builtin) get distinct tags. *)
+let device_tag (d : Device.t) =
+  Fmt.str "%s#%s" d.Device.name
+    (String.sub (Digest.to_hex (Digest.string (Device.to_string d))) 0 8)
 
 (* The 2^k model of one partition block on device [d].  [qubits] are
    global device indices in block order (ascending for partition
@@ -266,71 +266,13 @@ let of_device (d : Device.t) ~qubits =
     n = k;
     dt = d.Device.dt;
     drive_limit = two_pi *. d.Device.drive_ghz;
-    coupling = List.map (fun (a, b, _) -> (a, b)) couplings;
     couplings;
     coupling_strength = min_strength ~default:device_floor couplings;
     t_coherence = d.Device.t_coherence;
-    context =
-      Fmt.str "%s[%s]" d.Device.name (string_of_qubits qubits);
+    context = Fmt.str "%s[%s]" (device_tag d) (string_of_qubits qubits);
     (* crosstalk ZZ joins the drift: always-on parasitic terms the
        optimizer must steer around, exactly like the couplings *)
     drift_h = build_drift ~n:k ~couplings:(couplings @ crosstalk);
-    controls_h = build_controls ~n:k;
-  }
-
-(* Restrict a model to a sub-block of its qubits, deriving the coupling
-   from the parent's coupling subgraph (no chain fallback: a sub-block
-   of a ring is a path, a sub-block of a grid may be an L — inventing
-   chain couplings here silently mis-modeled every non-linear parent).
-
-   [qubits] are parent-local indices in block order; local qubit i of
-   the result is [List.nth qubits i].
-
-   @raise Invalid_argument when the induced coupling subgraph is
-   disconnected — such a block has no entangling path and must be
-   partitioned differently (or built via [of_device], which can route
-   virtual couplings through qubits outside the block). *)
-let sub_block hw ~qubits =
-  let k = List.length qubits in
-  if k < 1 then invalid_arg "Hardware.sub_block: empty block";
-  let qarr = Array.of_list qubits in
-  Array.iter
-    (fun q ->
-      if q < 0 || q >= hw.n then
-        invalid_arg
-          (Fmt.str "Hardware.sub_block: qubit %d out of range (parent has %d)"
-             q hw.n))
-    qarr;
-  let local g =
-    let rec go i = if qarr.(i) = g then i else go (i + 1) in
-    go 0
-  in
-  let couplings =
-    List.filter_map
-      (fun (a, b, j) ->
-        if Array.exists (( = ) a) qarr && Array.exists (( = ) b) qarr then
-          Some (local a, local b, j)
-        else None)
-      hw.couplings
-  in
-  let comp = components ~k couplings in
-  if k > 1 && not (Array.for_all (fun c -> c = comp.(0)) comp) then
-    invalid_arg
-      (Fmt.str
-         "Hardware.sub_block: block [%s] is disconnected in the parent \
-          coupling graph"
-         (string_of_qubits qubits));
-  {
-    hw with
-    n = k;
-    coupling = List.map (fun (a, b, _) -> (a, b)) couplings;
-    couplings;
-    coupling_strength =
-      min_strength ~default:hw.coupling_strength couplings;
-    context =
-      (if hw.context = "" then ""
-       else Fmt.str "%s/[%s]" hw.context (string_of_qubits qubits));
-    drift_h = build_drift ~n:k ~couplings;
     controls_h = build_controls ~n:k;
   }
 
@@ -345,61 +287,49 @@ let entangling_gate_time hw =
 
 (* --- model memo --------------------------------------------------------- *)
 
-(* Explicit memo of models: default-topology models keyed by
-   (dt, t_coherence, n), device-block models keyed by
-   (device name, block qubits).  Candidates and pipeline runs with the
-   same physical parameters reuse one model instead of rebuilding the
-   Pauli embeddings per candidate.  The memo is a first-class value
-   owned by whoever scopes the sharing — the pipeline's [Epoc.Engine]
-   holds one per engine, so compile requests multiplexed onto one
-   engine share hot models while two engines in one process stay fully
-   isolated (there is deliberately no process-wide instance).  Models
-   are immutable after construction, so sharing them across domains is
-   safe; the mutex only guards the tables.
+(* Explicit memo of block models.  Candidates and pipeline runs on the
+   same hardware reuse one model instead of rebuilding the Pauli
+   embeddings per candidate.  The memo is a first-class value owned by
+   whoever scopes the sharing — the pipeline's [Epoc.Engine] holds one
+   per engine, so compile requests multiplexed onto one engine share
+   hot models while two engines in one process stay fully isolated
+   (there is deliberately no process-wide instance).  Models are
+   immutable after construction, so sharing them across domains is
+   safe; the mutex only guards the table.
 
-   Device blocks are keyed by the device *name*: an engine registry
-   maps each name to one device value, so two devices sharing a name on
-   one engine would alias — the registry's replace-on-register makes
-   the latest registration win, matching resolution order. *)
+   Device blocks are keyed by the whole device value (structural
+   equality, so by every calibration value, like [device_tag]) and the
+   block's global qubits: two devices sharing a name never share a
+   model.  Default blocks are keyed by (dt, t_coherence) and their local
+   qubits 0..k-1: the default model re-chains a block's local qubits,
+   whatever its global ones. *)
 module Memo = struct
   type memo = {
-    models : (float * float * int, t) Hashtbl.t;
-    blocks : (string * string, t) Hashtbl.t;
+    models : (Device.t option * float * float * int list, t) Hashtbl.t;
     lock : Mutex.t;
   }
 
-  let create () =
-    {
-      models = Hashtbl.create 8;
-      blocks = Hashtbl.create 8;
-      lock = Mutex.create ();
-    }
+  let create () = { models = Hashtbl.create 8; lock = Mutex.create () }
 
-  let with_lock memo f =
+  let get memo ?device ?(dt = 0.5) ?(t_coherence = 100_000.0) qubits =
+    let key =
+      match device with
+      | Some (d : Device.t) ->
+          (device, d.Device.dt, d.Device.t_coherence, qubits)
+      | None -> (None, dt, t_coherence, List.init (List.length qubits) Fun.id)
+    in
     Mutex.lock memo.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock memo.lock) f
-
-  let get memo ?(dt = 0.5) ?(t_coherence = 100_000.0) n =
-    let key = (dt, t_coherence, n) in
-    with_lock memo (fun () ->
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock memo.lock)
+      (fun () ->
         match Hashtbl.find_opt memo.models key with
         | Some hw -> hw
         | None ->
-            let hw = make ~dt ~t_coherence n in
+            let hw =
+              match device with
+              | Some d -> of_device d ~qubits
+              | None -> make ~dt ~t_coherence (List.length qubits)
+            in
             Hashtbl.add memo.models key hw;
             hw)
-
-  let get_block memo (d : Device.t) ~qubits =
-    let key = (d.Device.name, string_of_qubits qubits) in
-    with_lock memo (fun () ->
-        match Hashtbl.find_opt memo.blocks key with
-        | Some hw -> hw
-        | None ->
-            let hw = of_device d ~qubits in
-            Hashtbl.add memo.blocks key hw;
-            hw)
-
-  let size memo =
-    with_lock memo (fun () ->
-        Hashtbl.length memo.models + Hashtbl.length memo.blocks)
 end

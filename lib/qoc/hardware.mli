@@ -5,11 +5,12 @@
     on coupled pairs and amplitude-limited X/Y drives per qubit.
     Units: time in ns, energies in rad/ns.
 
-    Models are built two ways: {!make} is the default uniform chain
-    used when no device is configured, and {!of_device} instantiates
+    Models are built two ways: {!make} is the default model, a uniform
+    chain over a block's local qubits, and {!of_device} instantiates
     the 2^k model of one partition block from a
     {!Epoc_device.Device.t}'s coupling subgraph — the full device never
-    becomes a Hamiltonian; only block-sized models exist.
+    becomes a Hamiltonian; only block-sized models exist.  {!Memo.get}
+    is the one lookup that picks between them.
 
     The drift and control Hamiltonians are built eagerly and stored on
     the (immutable) record: GRAPE reads them once per optimize call and
@@ -24,36 +25,31 @@ type t = {
   n : int;
   dt : float;  (** GRAPE slot duration, ns *)
   drive_limit : float;  (** max |u_j|, rad/ns *)
-  coupling : (int * int) list;  (** coupled qubit pairs *)
   couplings : (int * int * float) list;
-      (** per-pair coupling [(a, b, J_ab)] in rad/ns; same order as
-          [coupling] *)
+      (** coupled pairs with their strength [(a, b, J_ab)], rad/ns *)
   coupling_strength : float;
       (** representative J (minimum over pairs — the slowest entangler
           prices conservative reference durations), rad/ns *)
   t_coherence : float;  (** effective coherence time, ns (for ESP) *)
   context : string;
-      (** cache-key tag distinguishing the coupling context: [""] for
-          the default chain model (so legacy library/store keys are
-          unchanged), ["<device>[q0,q1,...]"] for device blocks *)
+      (** scope of pulse reuse: pulse-library and pulse-store entries
+          solved on this model only answer probes under the same tag.
+          [""] for the default chain model (so its keys are the bare
+          unitary fingerprints), ["<name>#<digest>[q0,q1,...]"] for
+          device blocks, where [<digest>] is 8 hex digits of the MD5 of
+          the device's canonical serialization, so two calibrations
+          sharing a device name never share pulses *)
   drift_h : Mat.t;  (** precomputed H0 (2^n x 2^n) *)
   controls_h : control list;  (** precomputed H_j *)
 }
 
-(** Build a model for [n] qubits; [coupling] defaults to a linear
-    chain with uniform strength.  Default parameters give the usual
-    superconducting scales (pi rotation at full drive ~10 ns,
-    CZ-equivalent interaction ~pi/J = 50 ns).
+(** The default model for [n] qubits: a linear chain with uniform
+    0.005 GHz coupling and 0.05 GHz drive, the usual superconducting
+    scales (pi rotation at full drive ~10 ns, CZ-equivalent interaction
+    ~pi/J = 50 ns).  Its reference gate times do not depend on [n].
 
     @raise Invalid_argument when [n < 1]. *)
-val make :
-  ?dt:float ->
-  ?drive_ghz:float ->
-  ?coupling_ghz:float ->
-  ?t_coherence:float ->
-  ?coupling:(int * int) list ->
-  int ->
-  t
+val make : ?dt:float -> ?t_coherence:float -> int -> t
 
 (** Drift Hamiltonian H0 (2^n x 2^n). *)
 val drift : t -> Mat.t
@@ -80,41 +76,33 @@ val pair_strength : t -> int -> int -> float option
     or a block pair with no connecting device path at all. *)
 val of_device : Epoc_device.Device.t -> qubits:int list -> t
 
-(** Restrict a model to a sub-block of its qubits, deriving the
-    coupling from the parent's coupling subgraph.  [qubits] are
-    parent-local indices in block order.  There is deliberately no
-    chain fallback: a sub-block of a non-linear parent keeps its real
-    (possibly sparser) coupling.
-
-    @raise Invalid_argument on an empty block, an out-of-range qubit,
-    or a block whose induced coupling subgraph is disconnected — such
-    a block has no entangling path; build it via {!of_device} when
-    routed virtual couplings are acceptable. *)
-val sub_block : t -> qubits:int list -> t
-
 (** Calibrated reference durations (ns) for the latency estimator and
     the gate-based baseline. *)
 val single_qubit_gate_time : t -> float
 
 val entangling_gate_time : t -> float
 
-(** Explicit memo of models: default-topology models keyed by
-    (dt, t_coherence, n) and device-block models keyed by
-    (device name, block qubits).  A memo is a first-class value owned
-    by whoever scopes the sharing — the pipeline's engine holds one per
-    engine — so there is no process-wide model table.  Thread-safe:
-    models are immutable and the tables are mutex-guarded. *)
+(** Explicit memo of block models.  A memo is a first-class value
+    owned by whoever scopes the sharing — the pipeline's engine holds
+    one per engine — so there is no process-wide model table.
+    Thread-safe: models are immutable and the table is mutex-guarded. *)
 module Memo : sig
   type memo
 
   val create : unit -> memo
 
-  (** Memoized {!make} with the default topology. *)
-  val get : memo -> ?dt:float -> ?t_coherence:float -> int -> t
-
-  (** Memoized {!of_device}, keyed by (device name, block qubits). *)
-  val get_block : memo -> Epoc_device.Device.t -> qubits:int list -> t
-
-  (** Number of distinct models currently held (both tables). *)
-  val size : memo -> int
+  (** The model of one block on global [qubits]: {!of_device} on
+      [device]'s coupling subgraph, or without a device {!make} on the
+      block width under [dt]/[t_coherence] (the default model re-chains
+      the block's local qubits, whatever its global ones).  Memoized
+      per (device value, block qubits), compared structurally so a
+      recalibrated device under the same name gets its own models,
+      resp. per (dt, t_coherence, width). *)
+  val get :
+    memo ->
+    ?device:Epoc_device.Device.t ->
+    ?dt:float ->
+    ?t_coherence:float ->
+    int list ->
+    t
 end

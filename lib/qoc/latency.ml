@@ -264,7 +264,7 @@ let find_min_duration_batch ?pool ?workspace (jobs : search_job array) =
       | _ -> assert false (* loop exits only with all states finished *))
     states
 
-(* Result-returning entry point: the supported API.  A search that
+(* Result-returning entry point: a batch of one.  A search that
    brackets up to [max_slots] without reaching the fidelity target maps
    to [Duration_unreachable]; solver and deadline failures pass through
    typed. *)
@@ -275,16 +275,6 @@ let find_min_duration_r ?options ?initial_guess ?init ?rng ?budget ?fault
       ?attempt hw target
   in
   (find_min_duration_batch ?pool ?workspace [| sj |]).(0)
-
-let find_min_duration ?options ?initial_guess ?init ?rng ?budget ?fault ?site
-    ?attempt ?pool ?workspace hw target =
-  match
-    find_min_duration_r ?options ?initial_guess ?init ?rng ?budget ?fault
-      ?site ?attempt ?pool ?workspace hw target
-  with
-  | Ok s -> Some s
-  | Error (Epoc_error.Duration_unreachable _) -> None
-  | Error e -> Epoc_error.raise_ e
 
 (* --- analytic estimator -------------------------------------------------- *)
 
@@ -369,7 +359,7 @@ let estimate ?unitary (hw : Hardware.t) (vug_circuit : Circuit.t) =
     est_fidelity = 0.999;
   }
 
-(* Slot-count seed for [find_min_duration] derived from the estimate. *)
+(* Slot-count seed for [find_min_duration_r] derived from the estimate. *)
 let guess_slots ?unitary (hw : Hardware.t) (vug_circuit : Circuit.t) =
   let e = estimate ?unitary hw vug_circuit in
   max 2 (int_of_float (Float.ceil (e.est_duration /. hw.Hardware.dt)))

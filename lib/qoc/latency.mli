@@ -1,12 +1,11 @@
 (** Minimal pulse duration search (the paper's binary search on
     latency) and the calibrated analytic estimator.
 
-    {!find_min_duration_r} is the supported entry point: bracket then
-    bisect the smallest GRAPE slot count reaching the fidelity target,
-    returning typed {!Epoc_error.t} failures ([Duration_unreachable]
-    when the bracket runs out, [Solver_diverged] / [Deadline_exceeded]
-    passed through from GRAPE).  {!find_min_duration} is the legacy
-    option-returning wrapper. *)
+    {!find_min_duration_r} brackets then bisects the smallest GRAPE
+    slot count reaching the fidelity target, returning typed
+    {!Epoc_error.t} failures ([Duration_unreachable] when the bracket
+    runs out, [Solver_diverged] / [Deadline_exceeded] passed through
+    from GRAPE). *)
 
 open Epoc_linalg
 open Epoc_circuit
@@ -74,10 +73,10 @@ val find_min_duration_batch :
   search_job array ->
   (search_result, Epoc_error.t) Result.t array
 
-(** Result-returning duration search — the supported API; a batch of
-    one.  [init] warm-starts every GRAPE attempt from cached
-    amplitudes; [budget]/[fault]/[site]/[attempt] are threaded into
-    each attempt (see {!Grape.optimize_r}). *)
+(** Result-returning duration search: a batch of one.  [init]
+    warm-starts every GRAPE attempt from cached amplitudes;
+    [budget]/[fault]/[site]/[attempt] are threaded into each attempt
+    (see {!Grape.optimize_r}). *)
 val find_min_duration_r :
   ?options:options ->
   ?initial_guess:int ->
@@ -92,25 +91,6 @@ val find_min_duration_r :
   Hardware.t ->
   Mat.t ->
   (search_result, Epoc_error.t) Result.t
-
-(** Legacy wrapper: [None] when no slot count up to
-    [options.max_slots] reaches the target.
-
-    @raise Epoc_error.Error on solver divergence or expired deadline. *)
-val find_min_duration :
-  ?options:options ->
-  ?initial_guess:int ->
-  ?init:float array array ->
-  ?rng:Random.State.t ->
-  ?budget:Epoc_budget.t ->
-  ?fault:Epoc_fault.spec ->
-  ?site:string ->
-  ?attempt:int ->
-  ?pool:Epoc_parallel.Pool.t ->
-  ?workspace:Grape.workspace ->
-  Hardware.t ->
-  Mat.t ->
-  search_result option
 
 (** {1 Analytic estimator} *)
 

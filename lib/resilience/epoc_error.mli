@@ -2,11 +2,10 @@
 
     Every recoverable failure the pipeline knows how to handle — a
     diverging GRAPE solve, an expired compute budget, an exhausted
-    synthesis search — is a constructor of {!t}.  The [_r] entry
+    synthesis search — is a constructor of {!t}.  The solver entry
     points ([Grape.optimize_r], [Qsearch.synthesize_r],
-    [Latency.find_min_duration_r]) return [(_, t) result]; the
-    legacy exception-raising APIs are thin wrappers kept for
-    compatibility.
+    [Latency.find_min_duration_r]) return [(_, t) result]; no public
+    solver API raises {!Error}.
 
     Error-taxonomy contract (DESIGN.md section 4f):
     - {!t} via a [result] (or the {!Error} exception between internal

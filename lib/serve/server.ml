@@ -145,16 +145,8 @@ let compile st (p : pending) ~request_id ~queue_wait_s ~worker ~drained =
      (zoo name or device-file path); the daemon's --device default
      already lives in st.config *)
   match
-    match job.Protocol.device with
-    | None -> Ok config
-    | Some spec -> (
-        match
-          Epoc_device.Device.Registry.resolve
-            (Epoc.Engine.devices st.engine)
-            spec
-        with
-        | Ok d -> Ok (Config.with_device d config)
-        | Error m -> Error m)
+    Config.resolve_device (Epoc.Engine.devices st.engine) job.Protocol.device
+      config
   with
   | Error msg ->
       Protocol.error_response ~jid:p.jid ~request_id ~queue_wait_s ~worker

@@ -68,9 +68,10 @@ let node_of options target rng ?seed template =
     f = result.distance +. (options.cnot_weight *. float_of_int (Template.cnot_count template));
   }
 
-let synthesize ?(options = default_options) ?(rng = Random.State.make [| 11 |])
-    ?(budget = Epoc_budget.unlimited) ?fault ?(site = "qsearch") ?(attempt = 0)
-    (target : Mat.t) =
+(* The search loop.  Deadline aborts escape as [Epoc_error.Error];
+   an exhausted budget returns the best effort with [converged = false].
+   [synthesize_r] maps both to typed errors. *)
+let search ~options ~rng ~budget ?fault ~site ~attempt (target : Mat.t) =
   if not (Mat.is_square target) then invalid_arg "Qsearch: non-square target";
   let dim = Mat.rows target in
   let n =
@@ -151,14 +152,15 @@ let synthesize ?(options = default_options) ?(rng = Random.State.make [| 11 |])
     | None -> finish !best (!best.result.Instantiate.distance < options.threshold)
   end
 
-(* Result-returning entry point: the supported API.  A search that runs
-   out of its expansion budget maps to [Synthesis_exhausted] carrying
-   the telemetry; deadline aborts pass through typed. *)
-let synthesize_r ?options ?rng ?budget ?fault ?(site = "qsearch") ?attempt
-    target =
+(* Result-returning entry point.  A search that runs out of its
+   expansion budget maps to [Synthesis_exhausted] carrying the
+   telemetry; deadline aborts pass through typed. *)
+let synthesize_r ?(options = default_options)
+    ?(rng = Random.State.make [| 11 |]) ?(budget = Epoc_budget.unlimited)
+    ?fault ?(site = "qsearch") ?(attempt = 0) target =
   match
     Epoc_error.wrap (fun () ->
-        synthesize ?options ?rng ?budget ?fault ~site ?attempt target)
+        search ~options ~rng ~budget ?fault ~site ~attempt target)
   with
   | Ok o when o.converged -> Ok o
   | Ok o ->

@@ -5,10 +5,9 @@
     order the open set by [f = distance + cnot_weight * #CNOTs].  A
     node-expansion budget bounds the classical cost.
 
-    {!synthesize_r} is the supported entry point: [Ok] only on a
-    converged search, with exhaustion and deadline aborts mapped to
-    typed {!Epoc_error.t} values.  {!synthesize} is the legacy wrapper
-    returning the best effort even when the budget ran out. *)
+    {!synthesize_r} returns [Ok] only on a converged search, with
+    exhaustion and deadline aborts mapped to typed {!Epoc_error.t}
+    values. *)
 
 open Epoc_linalg
 
@@ -36,7 +35,7 @@ type outcome = {
       (** best distance after each expansion, oldest first *)
 }
 
-(** Result-returning synthesis — the supported API.  A search that
+(** Result-returning synthesis.  A search that
     exhausts [max_expansions] without converging returns
     [Error (Synthesis_exhausted _)] carrying the telemetry; [budget]
     is checked every expansion and injected [fault]s
@@ -54,20 +53,3 @@ val synthesize_r :
   ?attempt:int ->
   Mat.t ->
   (outcome, Epoc_error.t) Result.t
-
-(** Legacy wrapper: always returns an outcome, with
-    [converged = false] marking an exhausted budget (the caller is
-    expected to fall back).
-
-    @raise Epoc_error.Error on an expired deadline.
-    @raise Invalid_argument unless the target is square with
-    power-of-two dimension. *)
-val synthesize :
-  ?options:options ->
-  ?rng:Random.State.t ->
-  ?budget:Epoc_budget.t ->
-  ?fault:Epoc_fault.spec ->
-  ?site:string ->
-  ?attempt:int ->
-  Mat.t ->
-  outcome

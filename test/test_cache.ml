@@ -180,14 +180,114 @@ let test_nearest () =
     (Store.nearest s (Gate.matrix Gate.H) = None);
   rm_rf dir
 
+(* --- hardware contexts ------------------------------------------------------ *)
+
+(* A record answers only probes under its own hardware context, and two
+   records differing only in context are distinct on disk. *)
+let test_context_scoping () =
+  let dir = tmp_dir "context" in
+  let cx = Gate.matrix Gate.CX in
+  let dev =
+    (Hardware.of_device (Epoc_device.Device.grid ~rows:3 ~cols:3 ())
+       ~qubits:[ 0; 1 ])
+      .Hardware.context
+  in
+  let s = Store.open_dir dir in
+  Store.record ~context:dev s cx ~duration:50.0 ~fidelity:0.999
+    ~pulse:x_pulse ();
+  Alcotest.(check bool) "device record ignores default probes" true
+    (Store.find s cx = None && Store.nearest s cx = None);
+  Store.record s (Gate.matrix Gate.CZ) ~duration:55.0 ~fidelity:0.998
+    ~pulse:x_pulse ();
+  Alcotest.(check bool) "default record ignores device probes" true
+    (Store.find ~context:dev s (Gate.matrix Gate.CZ) = None
+    && Store.nearest ~context:dev s (Gate.matrix Gate.CZ) = None);
+  Store.record s cx ~duration:60.0 ~fidelity:0.997 ();
+  Store.flush s;
+  Alcotest.(check int) "records differing in context both land" 3
+    (Store.merged_count s);
+  let s2 = Store.open_dir dir in
+  Alcotest.(check int) "both survive reopen" 3 (Store.loaded_count s2);
+  let duration ?context () =
+    Option.map (fun e -> e.Store.duration) (Store.find ?context s2 cx)
+  in
+  Alcotest.(check (option (float 0.0))) "device entry" (Some 50.0)
+    (duration ~context:dev ());
+  Alcotest.(check (option (float 0.0))) "default entry" (Some 60.0)
+    (duration ());
+  rm_rf dir
+
+(* Two calibrations sharing a device name never answer each other's
+   probes: a device context carries a digest of the whole device, so a
+   recalibrated device (other coupling strengths, or drive) misses the
+   records solved on the original, in the store and through pipeline
+   runs sharing one store. *)
+let test_recalibrated_device () =
+  let grid ?coupling_ghz ?drive_ghz () =
+    Epoc_device.Device.grid ?coupling_ghz ?drive_ghz ~rows:3 ~cols:3 ()
+  in
+  let base = grid () in
+  let recalibrated = [ grid ~coupling_ghz:0.006 (); grid ~drive_ghz:0.06 () ] in
+  List.iter
+    (fun (d : Epoc_device.Device.t) ->
+      Alcotest.(check string) "same name" base.name d.name)
+    recalibrated;
+  let context d = (Hardware.of_device d ~qubits:[ 0; 1 ]).Hardware.context in
+  let cx = Gate.matrix Gate.CX in
+  let dir = tmp_dir "recalibrated" in
+  let s = Store.open_dir dir in
+  Store.record ~context:(context base) s cx ~duration:50.0 ~fidelity:0.999
+    ~pulse:x_pulse ();
+  Alcotest.(check bool) "original answers its own probe" true
+    (Store.find ~context:(context base) s cx <> None);
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "recalibration misses the original" true
+        (Store.find ~context:(context d) s cx = None
+        && Store.nearest ~context:(context d) s cx = None))
+    recalibrated;
+  rm_rf dir;
+  let dir = tmp_dir "recalibrated-pipeline" in
+  let circuit = Epoc_benchmarks.Benchmarks.find "qaoa" in
+  let run d =
+    let cfg =
+      Config.with_device d { Config.default with Config.cache_dir = Some dir }
+    in
+    let metrics = M.create () in
+    ignore
+      (Pipeline.compile
+         (Engine.session ~config:cfg ~metrics ~name:"qaoa"
+            (Engine.create ~config:cfg ()))
+         circuit);
+    ( M.counter_value metrics "cache.hits",
+      M.counter_value metrics "cache.misses" )
+  in
+  ignore (run base);
+  List.iter
+    (fun d ->
+      let hits, misses = run d in
+      Alcotest.(check int) "recalibrated run hits nothing" 0 hits;
+      Alcotest.(check bool) "recalibrated run misses" true (misses > 0))
+    recalibrated;
+  let hits, misses = run base in
+  Alcotest.(check bool) "original still hits" true (hits > 0);
+  Alcotest.(check int) "original fully cached" 0 misses;
+  rm_rf dir
+
 (* --- GRAPE warm start ------------------------------------------------------- *)
+
+(* A GRAPE solve that must not error. *)
+let optimize ?options hw ~target ~slots =
+  match Grape.optimize_r ?options hw ~target ~slots with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "GRAPE failed: %s" (Epoc_error.to_string e)
 
 let test_grape_warm_start () =
   let hw = Hardware.make 1 in
   (* converge a pulse for X, then reuse its amplitudes as the starting
      point for the nearby RX(2.8) under a small iteration budget: the
      warm start must do at least as well as the random cold start *)
-  let solved_x = Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:24 in
+  let solved_x = optimize hw ~target:(Gate.matrix Gate.X) ~slots:24 in
   Alcotest.(check bool) "x converged" true (solved_x.Grape.fidelity > 0.99);
   Alcotest.(check bool) "cold start reported" false solved_x.Grape.warm_start;
   let target = Gate.matrix (Gate.RX 2.8) in
@@ -196,9 +296,9 @@ let test_grape_warm_start () =
   let budget =
     { Grape.default_options with Grape.iterations = 4; patience = 4 }
   in
-  let cold = Grape.optimize ~options:budget hw ~target ~slots:24 in
+  let cold = optimize ~options:budget hw ~target ~slots:24 in
   let warm =
-    Grape.optimize
+    optimize
       ~options:
         {
           budget with
@@ -214,7 +314,7 @@ let test_grape_warm_start () =
   (* a control-count mismatch falls back to the cold start *)
   let bad_init = [| [| 0.1; 0.2 |] |] in
   let fallback =
-    Grape.optimize
+    optimize
       ~options:{ budget with Grape.init = Some bad_init }
       hw ~target ~slots:24
   in
@@ -224,38 +324,51 @@ let test_grape_warm_start () =
 (* --- cached pipeline -------------------------------------------------------- *)
 
 (* Second run against the same store resolves every distinct unitary from
-   disk: cache.hits > 0 and the reported schedule is identical. *)
+   disk: cache.hits > 0, no misses, and the identical schedule.  dnn has
+   library entries whose phase canonicalization is near-tied (they are
+   persisted as-is, so the warm probes compute the stored keys); on
+   grid3x3 the records carry the device blocks' hardware contexts. *)
 let test_pipeline_warm_run () =
-  let dir = tmp_dir "pipeline" in
-  let circuit = Epoc_benchmarks.Benchmarks.find "qaoa" in
-  let cfg = { Config.default with Config.cache_dir = Some dir } in
-  let run () =
-    let metrics = M.create () in
-    let r =
-      Pipeline.compile
-        (Engine.session ~config:cfg ~metrics ~name:"qaoa"
-           (Engine.create ~config:cfg ()))
-        circuit
-    in
-    (r, metrics)
-  in
-  let cold, cold_m = run () in
-  Alcotest.(check int) "cold run has no hits" 0
-    (M.counter_value cold_m "cache.hits");
-  Alcotest.(check bool) "cold run misses" true
-    (M.counter_value cold_m "cache.misses" > 0);
-  let warm, warm_m = run () in
-  Alcotest.(check bool) "warm run hits" true
-    (M.counter_value warm_m "cache.hits" > 0);
-  Alcotest.(check int) "warm run fully cached" 0
-    (M.counter_value warm_m "cache.misses");
-  Alcotest.(check bool) "latency identical" true
-    (cold.Pipeline.latency = warm.Pipeline.latency);
-  Alcotest.(check bool) "esp identical" true
-    (cold.Pipeline.esp = warm.Pipeline.esp);
-  Alcotest.(check bool) "library saw the cache" true
-    (warm.Pipeline.library_stats.Epoc_pulse.Library.cache_hits > 0);
-  rm_rf dir
+  let grid3x3 = Epoc_device.Device.grid ~rows:3 ~cols:3 () in
+  List.iter
+    (fun (name, device) ->
+      let label =
+        name ^ match device with None -> "" | Some _ -> "@grid3x3"
+      in
+      let dir = tmp_dir ("pipeline-" ^ label) in
+      let cfg = { Config.default with Config.cache_dir = Some dir } in
+      let cfg =
+        match device with None -> cfg | Some d -> Config.with_device d cfg
+      in
+      let circuit = Epoc_benchmarks.Benchmarks.find name in
+      let run () =
+        let metrics = M.create () in
+        let r =
+          Pipeline.compile
+            (Engine.session ~config:cfg ~metrics ~name
+               (Engine.create ~config:cfg ()))
+            circuit
+        in
+        (r, metrics)
+      in
+      let cold, cold_m = run () in
+      Alcotest.(check int) (label ^ ": cold run has no hits") 0
+        (M.counter_value cold_m "cache.hits");
+      Alcotest.(check bool) (label ^ ": cold run misses") true
+        (M.counter_value cold_m "cache.misses" > 0);
+      let warm, warm_m = run () in
+      Alcotest.(check bool) (label ^ ": warm run hits") true
+        (M.counter_value warm_m "cache.hits" > 0);
+      Alcotest.(check int) (label ^ ": warm run fully cached") 0
+        (M.counter_value warm_m "cache.misses");
+      Alcotest.(check bool) (label ^ ": schedule identical") true
+        (cold.Pipeline.schedule = warm.Pipeline.schedule);
+      Alcotest.(check bool) (label ^ ": esp identical") true
+        (cold.Pipeline.esp = warm.Pipeline.esp);
+      Alcotest.(check bool) (label ^ ": library saw the cache") true
+        (warm.Pipeline.library_stats.Epoc_pulse.Library.cache_hits > 0);
+      rm_rf dir)
+    [ ("qaoa", None); ("dnn", None); ("qaoa", Some grid3x3) ]
 
 (* The cached (warm) pipeline obeys the pipeline determinism contract:
    bit-identical results for any domain count.  GRAPE mode, so store
@@ -492,6 +605,9 @@ let () =
           Alcotest.test_case "nearest neighbor" `Quick test_nearest;
           Alcotest.test_case "merged-entry accounting" `Quick
             test_merged_count;
+          Alcotest.test_case "context scoping" `Quick test_context_scoping;
+          Alcotest.test_case "recalibrated device" `Quick
+            test_recalibrated_device;
         ] );
       ( "synth-store",
         [

@@ -185,13 +185,14 @@ let test_of_device () =
   Alcotest.(check int) "n" 3 hw.Hardware.n;
   (* local indices: 0->0, 1->1, 4->2; device couples (0,1) and (1,4) *)
   Alcotest.(check (list (pair int int)))
-    "induced coupling" [ (0, 1); (1, 2) ] hw.Hardware.coupling;
+    "induced coupling" [ (0, 1); (1, 2) ]
+    (List.map (fun (a, b, _) -> (a, b)) hw.Hardware.couplings);
   Alcotest.(check bool) "context tagged" true
     (String.length hw.Hardware.context > 0);
   (* disconnected block: bridged by a virtual coupling, weaker with
      distance (J_eff = J / hops) *)
   let hw2 = Hardware.of_device d ~qubits:[ 0; 2 ] in
-  Alcotest.(check int) "bridged pairs" 1 (List.length hw2.Hardware.coupling);
+  Alcotest.(check int) "bridged pairs" 1 (List.length hw2.Hardware.couplings);
   let direct = Hardware.of_device d ~qubits:[ 0; 1 ] in
   let j_direct =
     match Hardware.pair_strength direct 0 1 with
@@ -206,17 +207,6 @@ let test_of_device () =
   Alcotest.(check (float 1e-9)) "J/2 over 2 hops" (j_direct /. 2.0) j_virtual;
   expect_invalid "empty block" (fun () -> Hardware.of_device d ~qubits:[]);
   expect_invalid "out of range" (fun () -> Hardware.of_device d ~qubits:[ 0; 9 ])
-
-let test_sub_block () =
-  let d = D.grid ~rows:3 ~cols:3 () in
-  let parent = Hardware.of_device d ~qubits:[ 0; 1; 2; 4 ] in
-  (* parent-local [0;1] is device (0,1): coupled *)
-  let sub = Hardware.sub_block parent ~qubits:[ 0; 1 ] in
-  Alcotest.(check (list (pair int int))) "sub coupling" [ (0, 1) ] sub.Hardware.coupling;
-  (* parent-local [0;2] is device (0,2): not coupled in the parent's
-     subgraph — sub_block has no chain fallback and must raise *)
-  expect_invalid "disconnected sub-block" (fun () ->
-      Hardware.sub_block parent ~qubits:[ 0; 2 ])
 
 (* --- architecture-aware partitioning -------------------------------------- *)
 
@@ -266,7 +256,6 @@ let () =
       ( "hardware",
         [
           Alcotest.test_case "of_device" `Quick test_of_device;
-          Alcotest.test_case "sub_block" `Quick test_sub_block;
         ] );
       ( "partition",
         [

@@ -39,14 +39,44 @@ let test_pool_counter_scoping () =
   Alcotest.(check int) "same engine accumulates" (2 * n1) (pool_traffic e1)
 
 (* the hardware memo is engine-owned: repeated lookups share one model,
-   distinct engines build their own *)
+   distinct engines build their own; the default model re-chains a
+   block's local qubits, so equal-width blocks share it, while device
+   blocks are keyed by their global qubits and the whole device *)
 let test_hardware_memo () =
   let config = Config.default in
   let e1 = Engine.create () and e2 = Engine.create () in
+  let block e qs = Engine.hardware_for_block e config qs in
   Alcotest.(check bool) "memo hit is the same model" true
-    (Engine.hardware_for e1 config 2 == Engine.hardware_for e1 config 2);
+    (block e1 [ 0; 1 ] == block e1 [ 0; 1 ]);
+  Alcotest.(check bool) "default model ignores global qubits" true
+    (block e1 [ 0; 1 ] == block e1 [ 3; 5 ]);
+  Alcotest.(check string) "default context" ""
+    (block e1 [ 3; 5 ]).Epoc_qoc.Hardware.context;
   Alcotest.(check bool) "engines do not share models" false
-    (Engine.hardware_for e1 config 2 == Engine.hardware_for e2 config 2)
+    (block e1 [ 0; 1 ] == block e2 [ 0; 1 ]);
+  let grid =
+    Config.with_device (Epoc_device.Device.grid ~rows:3 ~cols:3 ()) config
+  in
+  let dev qs = Engine.hardware_for_block e1 grid qs in
+  Alcotest.(check bool) "device blocks memoized" true
+    (dev [ 0; 1 ] == dev [ 0; 1 ]);
+  Alcotest.(check bool) "device blocks keyed by global qubits" false
+    (dev [ 0; 1 ] == dev [ 1; 2 ]);
+  let context = (dev [ 0; 1 ]).Epoc_qoc.Hardware.context in
+  Alcotest.(check bool) "device context names device and block" true
+    (String.starts_with ~prefix:"grid3x3#" context
+    && String.ends_with ~suffix:"[0,1]" context);
+  (* a recalibration under the same name is another device *)
+  let recal =
+    Config.with_device
+      (Epoc_device.Device.grid ~coupling_ghz:0.006 ~rows:3 ~cols:3 ())
+      config
+  in
+  let recal_block = Engine.hardware_for_block e1 recal [ 0; 1 ] in
+  Alcotest.(check bool) "recalibration gets its own model" false
+    (recal_block == dev [ 0; 1 ]);
+  Alcotest.(check bool) "recalibration gets its own context" false
+    (recal_block.Epoc_qoc.Hardware.context = context)
 
 (* a session shares the engine library only when its config's matching
    convention agrees; the phase-sensitive baselines get a private one *)

@@ -107,6 +107,33 @@ let test_gate_based_virtual_z_free () =
   Alcotest.(check (float 1e-9)) "pure virtual circuit is free" 0.0
     g.Pipeline.latency
 
+(* The gate-based flow prices every gate with [Stages.gate_pulse] on the
+   two-qubit default model, whose reference times do not depend on
+   width: a 16-qubit circuit compiles without a 2^16-dimensional
+   Hamiltonian. *)
+let test_gate_based_wide_circuit () =
+  let n = 16 in
+  let c =
+    Circuit.of_ops n
+      (List.init n (fun q -> op (if q mod 2 = 0 then Gate.H else Gate.SX) [ q ])
+      @ List.init (n - 1) (fun q ->
+            op (if q mod 2 = 0 then Gate.CX else Gate.CZ) [ q; q + 1 ]))
+  in
+  let g = Baselines.compile_gate_based (session ~name:"wide" ()) c in
+  let hw = Epoc_qoc.Hardware.make 2 in
+  let placed = g.Pipeline.schedule.Epoc_pulse.Schedule.placed in
+  Alcotest.(check int) "one pulse per gate" (Circuit.gate_count c)
+    (List.length placed);
+  List.iter2
+    (fun (p : Epoc_pulse.Schedule.placed) (o : Circuit.op) ->
+      let i = p.Epoc_pulse.Schedule.instruction in
+      let duration, fidelity = Stages.gate_pulse hw o.Circuit.gate in
+      Alcotest.(check (float 0.0)) "duration" duration
+        i.Epoc_pulse.Schedule.duration;
+      Alcotest.(check (float 0.0)) "fidelity" fidelity
+        i.Epoc_pulse.Schedule.fidelity)
+    placed (Circuit.ops c)
+
 let test_domain_count_determinism () =
   (* the parallel pipeline must be bit-identical for any domain count *)
   let cases = [ List.nth suite 0; List.nth suite 3 ] in
@@ -225,7 +252,13 @@ let test_stage_chain_equivalence () =
 
 let test_pulse_csv_export () =
   let hw = Epoc_qoc.Hardware.make 1 in
-  let r = Epoc_qoc.Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:8 in
+  let r =
+    match
+      Epoc_qoc.Grape.optimize_r hw ~target:(Gate.matrix Gate.X) ~slots:8
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "GRAPE failed: %s" (Epoc_error.to_string e)
+  in
   let csv = Epoc_qoc.Grape.pulse_to_csv r.Epoc_qoc.Grape.pulse in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "header + 8 slots" 9 (List.length lines);
@@ -270,6 +303,7 @@ let () =
       ( "baselines",
         [
           Alcotest.test_case "virtual z free" `Quick test_gate_based_virtual_z_free;
+          Alcotest.test_case "wide circuit" `Quick test_gate_based_wide_circuit;
         ] );
       ( "reorder",
         [

@@ -5,6 +5,14 @@ open Epoc_pulse
 
 let mat = Alcotest.testable Mat.pp (Mat.approx_equal ~eps:1e-9)
 
+let batch_ok what = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s: unexpected error %s" what (Epoc_error.to_string e)
+
+(* A GRAPE solve that must not error. *)
+let optimize ?options ?rng hw ~target ~slots =
+  batch_ok "GRAPE" (Grape.optimize_r ?options ?rng hw ~target ~slots)
+
 (* --- hardware ------------------------------------------------------------ *)
 
 let test_hardware_drift () =
@@ -13,7 +21,7 @@ let test_hardware_drift () =
   Alcotest.(check int) "dim" 8 (Mat.rows h0);
   Alcotest.(check bool) "hermitian" true (Mat.is_hermitian h0);
   Alcotest.(check (list (pair int int))) "chain coupling" [ (0, 1); (1, 2) ]
-    hw.Hardware.coupling
+    (List.map (fun (a, b, _) -> (a, b)) hw.Hardware.couplings)
 
 let test_hardware_controls () =
   let hw = Hardware.make 2 in
@@ -42,7 +50,7 @@ let test_reference_times () =
 
 let test_grape_identity_1q () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Mat.identity 2) ~slots:4 in
+  let r = optimize hw ~target:(Mat.identity 2) ~slots:4 in
   Alcotest.(check bool)
     (Printf.sprintf "identity fidelity %.5f" r.Grape.fidelity)
     true
@@ -50,7 +58,7 @@ let test_grape_identity_1q () =
 
 let test_grape_x_gate () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:24 in
+  let r = optimize hw ~target:(Gate.matrix Gate.X) ~slots:24 in
   Alcotest.(check bool)
     (Printf.sprintf "x fidelity %.5f" r.Grape.fidelity)
     true
@@ -61,7 +69,7 @@ let test_grape_x_gate () =
 
 let test_grape_hadamard () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.H) ~slots:24 in
+  let r = optimize hw ~target:(Gate.matrix Gate.H) ~slots:24 in
   Alcotest.(check bool)
     (Printf.sprintf "h fidelity %.5f" r.Grape.fidelity)
     true
@@ -69,7 +77,7 @@ let test_grape_hadamard () =
 
 let test_grape_cnot () =
   let hw = Hardware.make 2 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.CX) ~slots:160 in
+  let r = optimize hw ~target:(Gate.matrix Gate.CX) ~slots:160 in
   Alcotest.(check bool)
     (Printf.sprintf "cx fidelity %.5f" r.Grape.fidelity)
     true
@@ -77,7 +85,7 @@ let test_grape_cnot () =
 
 let test_grape_respects_amplitude_limit () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.Y) ~slots:24 in
+  let r = optimize hw ~target:(Gate.matrix Gate.Y) ~slots:24 in
   Array.iter
     (Array.iter (fun a ->
          Alcotest.(check bool) "amplitude clipped" true
@@ -86,14 +94,14 @@ let test_grape_respects_amplitude_limit () =
 
 let test_grape_propagate_unitary () =
   let hw = Hardware.make 2 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.CZ) ~slots:120 in
+  let r = optimize hw ~target:(Gate.matrix Gate.CZ) ~slots:120 in
   Alcotest.(check bool) "propagator unitary" true
     (Mat.is_unitary ~eps:1e-7 r.Grape.achieved)
 
 let test_grape_too_short_fails () =
   (* 2 ns cannot implement an X pi-rotation at the drive limit *)
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:4 in
+  let r = optimize hw ~target:(Gate.matrix Gate.X) ~slots:4 in
   Alcotest.(check bool)
     (Printf.sprintf "infeasible duration fidelity %.4f" r.Grape.fidelity)
     true
@@ -128,10 +136,6 @@ let check_result_exact what (a : Grape.result) (b : Grape.result) =
     true
     (a.Grape.series = b.Grape.series)
 
-let batch_ok what = function
-  | Ok r -> r
-  | Error e -> Alcotest.failf "%s: unexpected error %s" what (Epoc_error.to_string e)
-
 let test_grape_batch_matches_solo () =
   (* mixed targets, ragged slot counts, one warm-started job, all in one
      batch sharing a workspace: each slot must reproduce the standalone
@@ -143,7 +147,7 @@ let test_grape_batch_matches_solo () =
       opts with
       Grape.init =
         Some
-          (Grape.optimize ~options:opts
+          (optimize ~options:opts
              ~rng:(Random.State.make [| 11 |])
              hw ~target:(Gate.matrix Gate.H) ~slots:20)
             .Grape.pulse.Grape.amplitudes;
@@ -160,7 +164,7 @@ let test_grape_batch_matches_solo () =
   let solo =
     Array.mapi
       (fun i (target, slots, options) ->
-        Grape.optimize ~options ~rng:(rng i) hw ~target ~slots)
+        optimize ~options ~rng:(rng i) hw ~target ~slots)
       specs
   in
   let jobs =
@@ -207,9 +211,10 @@ let test_grape_checkpoint_pool_invariance () =
 
 let test_latency_x_speed_limit () =
   let hw = Hardware.make 1 in
-  match Latency.find_min_duration hw (Gate.matrix Gate.X) with
-  | None -> Alcotest.fail "x duration search failed"
-  | Some s ->
+  match Latency.find_min_duration_r hw (Gate.matrix Gate.X) with
+  | Error e ->
+      Alcotest.failf "x duration search failed: %s" (Epoc_error.to_string e)
+  | Ok s ->
       (* quantum speed limit: pi / drive_limit = 10 ns *)
       Alcotest.(check bool)
         (Printf.sprintf "min duration %.1f ns" s.Latency.duration)
@@ -219,9 +224,10 @@ let test_latency_x_speed_limit () =
 let test_latency_rz_is_fast () =
   (* small rotations need much shorter pulses than pi rotations *)
   let hw = Hardware.make 1 in
-  match Latency.find_min_duration hw (Gate.matrix (Gate.RX 0.3)) with
-  | None -> Alcotest.fail "rx duration search failed"
-  | Some s ->
+  match Latency.find_min_duration_r hw (Gate.matrix (Gate.RX 0.3)) with
+  | Error e ->
+      Alcotest.failf "rx duration search failed: %s" (Epoc_error.to_string e)
+  | Ok s ->
       Alcotest.(check bool)
         (Printf.sprintf "rx(0.3) %.1f ns" s.Latency.duration)
         true (s.Latency.duration <= 4.0)

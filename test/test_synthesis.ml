@@ -72,8 +72,17 @@ let test_gradient_matches_slope () =
 
 (* --- qsearch ------------------------------------------------------------ *)
 
+(* A QSearch run that must converge. *)
+let synthesize ?options name target =
+  match Qsearch.synthesize_r ?options target with
+  | Ok r -> r
+  | Error e ->
+      Alcotest.failf "%s did not converge: %s" name (Epoc_error.to_string e)
+
 let check_synthesis name target max_cnots =
-  let r = Qsearch.synthesize ~options:{ fast_options with Qsearch.max_cnots } target in
+  let r =
+    synthesize ~options:{ fast_options with Qsearch.max_cnots } name target
+  in
   Alcotest.(check bool)
     (Printf.sprintf "%s converged (dist %.3g, %d cnots)" name r.Qsearch.distance
        r.Qsearch.cnots)
@@ -99,7 +108,7 @@ let test_qsearch_swapless () =
   check_synthesis "generic 2q" (Circuit.unitary c) 3
 
 let test_qsearch_single_qubit_direct () =
-  let r = Qsearch.synthesize (Gate.matrix Gate.H) in
+  let r = synthesize "h" (Gate.matrix Gate.H) in
   Alcotest.(check bool) "h" true r.Qsearch.converged;
   Alcotest.(check int) "no cnots" 0 r.Qsearch.cnots
 
@@ -114,7 +123,7 @@ let test_qsearch_reports_depth_reduction () =
       ]
   in
   let target = Circuit.unitary c in
-  let r = Qsearch.synthesize ~options:fast_options target in
+  let r = synthesize ~options:fast_options "depth reduction" target in
   Alcotest.(check bool) "converged" true r.Qsearch.converged;
   Alcotest.(check bool)
     (Printf.sprintf "fewer cnots: %d" r.Qsearch.cnots)
