@@ -378,7 +378,9 @@ let json_file = "BENCH_pipeline.json"
    degraded_blocks/retries (the resilience counters); v3 adds the
    synth_cache_sweep section (cold/warm synthesis-cache runs); v4 adds
    the device_sweep section (per-device latency/ESP over the bundled
-   zoo) and per-benchmark ir_roundtrip flags. *)
+   zoo) and per-benchmark ir_roundtrip flags.  The synth_micro section
+   (instantiation throughput) is optional within v4: readers skip its
+   checks when a file lacks it. *)
 let bench_schema_version = 4
 
 (* --- pulse-IR round trip ---------------------------------------------------- *)
@@ -561,10 +563,81 @@ let synth_run_json (r : synth_run) =
      \"qsearch_expansions\": %d}"
     r.sr_compile_s r.sr_latency r.sr_esp r.sr_hits r.sr_misses r.sr_expansions
 
+(* --- instantiation throughput ------------------------------------------------ *)
+
+(* Adam steps per second and minor words per step of
+   [Instantiate.instantiate]: a 1-CNOT 2-qubit template against a 3-CNOT
+   target, at tolerance 0 (no distance is below it) and patience equal
+   to the step budget, so every run takes every step and the step count
+   is exact.  Per-call set-up (the evaluation workspace) is billed to the
+   steps. *)
+type synth_micro = {
+  sm_runs : int;
+  sm_steps : int;
+  sm_wall_s : float;
+  sm_minor_words : float;
+}
+
+let synth_micro () =
+  let module I = Epoc_synthesis.Instantiate in
+  let module T = Epoc_synthesis.Template in
+  let op gate qubits = { Circuit.gate; qubits } in
+  let target =
+    Circuit.unitary
+      (Circuit.of_ops 2
+         [
+           op (Gate.RY 0.7) [ 0 ]; op Gate.CX [ 0; 1 ]; op (Gate.RZ 1.2) [ 1 ];
+           op Gate.CX [ 1; 0 ]; op (Gate.RX 0.4) [ 0 ]; op Gate.CX [ 0; 1 ];
+           op (Gate.RY 0.3) [ 1 ];
+         ])
+  in
+  let template = { (T.root 2) with T.cnots = [ (0, 1) ] } in
+  let steps = 400 in
+  let options =
+    {
+      I.default_options with
+      I.max_iterations = steps;
+      tolerance = 0.0;
+      patience = steps;
+      restarts = 0;
+    }
+  in
+  let run i =
+    let r =
+      I.instantiate ~options ~rng:(Random.State.make [| i |]) target template
+    in
+    if r.I.iterations <> steps then
+      failwith "synth_micro: a run stopped before its step budget"
+  in
+  run 0;
+  let runs = 300 in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to runs do
+    run i
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  {
+    sm_runs = runs;
+    sm_steps = runs * steps;
+    sm_wall_s = wall;
+    sm_minor_words = Gc.minor_words () -. w0;
+  }
+
+let synth_micro_json (m : synth_micro) =
+  Printf.sprintf
+    "{\"template_cnots\": 1, \"target_cnots\": 3, \"runs\": %d, \
+     \"steps\": %d, \"wall_s\": %.6f, \"steps_per_s\": %.1f, \
+     \"minor_words_per_step\": %.3f}"
+    m.sm_runs m.sm_steps m.sm_wall_s
+    (float_of_int m.sm_steps /. m.sm_wall_s)
+    (m.sm_minor_words /. float_of_int m.sm_steps)
+
 (* Compile the table-1 suite and emit per-benchmark compile time, schedule
    quality, library traffic and the per-stage timing breakdown (from the
-   pass manager's trace) as JSON, plus a GRAPE throughput
-   microbenchmark — the numbers regressions are judged against. *)
+   pass manager's trace) as JSON, plus the GRAPE and instantiation
+   throughput microbenchmarks — the numbers regressions are judged
+   against. *)
 let stage_rows trace =
   (* aggregate candidate stages by name: one row per pass, wall summed *)
   String.concat ", "
@@ -626,6 +699,7 @@ let bench_json () =
       (Epoc_qoc.Grape.optimize_batch ~pool ~workspace:ws jobs)
   done;
   let batch_s = Unix.gettimeofday () -. b0 in
+  let sm = synth_micro () in
   (* cold/warm persistent-cache sweep (GRAPE pulses, small benchmarks) *)
   let sweep = cache_sweep () in
   (* cold/warm synthesis-cache sweep (estimated pulses; QSearch is the
@@ -705,6 +779,8 @@ let bench_json () =
        (float_of_int !batch_iters /. batch_s)
        (Option.value ~default:0.0
           (Epoc_obs.Metrics.gauge_value bench_metrics "grape.iters_per_s")));
+  Buffer.add_string b
+    (Printf.sprintf "  \"synth_micro\": %s,\n" (synth_micro_json sm));
   Buffer.add_string b (Printf.sprintf "  \"total_wall_s\": %.6f\n}\n" total_s);
   let oc = open_out json_file in
   output_string oc (Buffer.contents b);
@@ -714,6 +790,11 @@ let bench_json () =
       Printf.printf "%-12s compile %8.4f s   latency %10.1f ns\n" name
         r.Pipeline.compile_time r.Pipeline.latency)
     rows;
+  Printf.printf
+    "\ninstantiation: %.0f Adam steps/s, %.3f minor words/step (%d steps)\n"
+    (float_of_int sm.sm_steps /. sm.sm_wall_s)
+    (sm.sm_minor_words /. float_of_int sm.sm_steps)
+    sm.sm_steps;
   Printf.printf "\ncold/warm pulse-cache sweep (GRAPE pulses):\n";
   List.iter
     (fun (name, cold, warm) ->

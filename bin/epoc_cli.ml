@@ -167,7 +167,7 @@ let export_ir_arg =
 let synth_cache_arg =
   let doc =
     "Persistent synthesis cache directory: per-block synthesized circuits \
-     (VUG + CNOT structure) are stored by unitary fingerprint and warm \
+     (VUG + CNOT structure) are stored by the block's op list and warm \
      recompiles replay them instead of running QSearch. Created if \
      missing."
   in

@@ -1,23 +1,30 @@
 (* Persistent synthesis store: the second instance of [Persistent.Make].
 
-   A record is one synthesized block: the canonical block unitary (for
-   hit verification), the VUG + CNOT circuit QSearch produced, and the
-   attempt metadata (source, instantiation distance, search counters).
-   Circuits serialize as an op list; named gates round-trip through
-   (name, params) and [Unitary] gates carry their matrix inline, so a
-   replayed circuit is structurally identical — same gates, same float
-   bits — to the one the cold run synthesized. *)
+   A record is one synthesized block: the block's local circuit (the
+   key, and what a hit is verified against), the VUG + CNOT circuit
+   synthesis produced, and the attempt metadata (source, instantiation
+   distance, search counters).  Keying by the op list rather than by the
+   block unitary matters because a result is not a function of the
+   unitary alone: a [Fallback] result is [Synthesis.vug_form] of the
+   block's own gates, so two blocks with one unitary and different gates
+   (a lone [cz(0,1)] and [cz(1,0)]) have different results, and a
+   unitary key replayed the first one's circuit for both.  Circuits
+   serialize as an op list; named gates round-trip through (name,
+   params) and [Unitary] gates carry their matrix inline, so a replayed
+   circuit is structurally identical — same gates, same float bits — to
+   the one the cold run synthesized. *)
 
 open Epoc_linalg
-open Epoc_pulse
 open Epoc_circuit
 open Epoc_synthesis
 module Json = Epoc_obs.Json
 
-let schema_version = 1
+(* v2 keys records by the block's op list; v1 files (unitary keys) are
+   quarantined and refilled. *)
+let schema_version = 2
 
 type entry = {
-  unitary : Mat.t;
+  block : Circuit.t;
   circuit : Circuit.t;
   source : Synthesis.source;
   distance : float;
@@ -157,9 +164,14 @@ let source_of_string = function
 
 (* --- the codec -------------------------------------------------------------- *)
 
-let entry_matches ~match_global_phase (stored : Mat.t) probe =
-  if match_global_phase then Mat.equal_up_to_phase ~eps:1e-6 stored probe
-  else Mat.approx_equal ~eps:1e-6 stored probe
+(* The key is the digest of the block's serialized op list: the JSON
+   encoding is exact (floats print round-trippably), so a record read
+   back from disk keys exactly as it did when written. *)
+let block_key (block : Circuit.t) =
+  Digest.to_hex (Digest.string (Json.to_string (circuit_to_json block)))
+
+let same_block (a : Circuit.t) (b : Circuit.t) =
+  Circuit.n_qubits a = Circuit.n_qubits b && Circuit.ops a = Circuit.ops b
 
 module Codec = struct
   type nonrec entry = entry
@@ -167,23 +179,19 @@ module Codec = struct
   let format_name = "epoc-synth-cache"
   let schema_version = schema_version
   let records_file = "synth.jsonl"
-
-  let key e = Digest.to_hex (Library.fingerprint e.unitary)
-
-  let equal ~match_global_phase a b =
-    entry_matches ~match_global_phase a.unitary b.unitary
+  let key e = block_key e.block
+  let equal ~match_global_phase:_ a b = same_block a.block b.block
 
   let to_line ~key (e : entry) =
     Json.to_string
       (Json.Obj
          [
            ("key", Json.Str key);
-           ("dim", Json.of_int (Mat.rows e.unitary));
            ("source", Json.Str (source_to_string e.source));
            ("distance", Json.Num e.distance);
            ("expansions", Json.of_int e.expansions);
            ("prunes", Json.of_int e.prunes);
-           ("unitary", Mat_json.to_json e.unitary);
+           ("block", circuit_to_json e.block);
            ("circuit", circuit_to_json e.circuit);
          ])
 
@@ -192,32 +200,30 @@ module Codec = struct
     | Error m -> Error m
     | Ok j -> (
         match
-          ( Option.bind (Json.member "dim" j) Json.to_int,
-            Option.bind (Json.member "source" j) Json.to_str,
+          ( Option.bind (Json.member "source" j) Json.to_str,
             Option.bind (Json.member "distance" j) Json.to_num,
-            Json.member "unitary" j,
+            Json.member "block" j,
             Json.member "circuit" j )
         with
-        | Some dim, Some src, Some distance, Some uj, Some cj when dim >= 1
-          -> (
+        | Some src, Some distance, Some bj, Some cj -> (
             match
-              (Mat_json.of_json dim uj, circuit_of_json cj, source_of_string src)
+              (circuit_of_json bj, circuit_of_json cj, source_of_string src)
             with
-            | Some unitary, Some circuit, Some source ->
+            | Some block, Some circuit, Some source ->
                 let int_field name =
                   Option.value ~default:0
                     (Option.bind (Json.member name j) Json.to_int)
                 in
                 Ok
                   {
-                    unitary;
+                    block;
                     circuit;
                     source;
                     distance;
                     expansions = int_field "expansions";
                     prunes = int_field "prunes";
                   }
-            | None, _, _ -> Error "bad unitary array"
+            | None, _, _ -> Error "bad block"
             | _, None, _ -> Error "bad circuit"
             | _, _, None -> Error ("unknown source " ^ src))
         | _ -> Error "missing record fields")
@@ -227,7 +233,7 @@ module P = Persistent.Make (Codec)
 
 type t = P.t
 
-let open_dir = P.open_dir
+let open_dir dir = P.open_dir dir
 let entry_count = P.entry_count
 let pending_count = P.pending_count
 let loaded_count = P.loaded_count
@@ -235,28 +241,14 @@ let skipped_count = P.skipped_count
 let merged_count = P.merged_count
 let flush = P.flush
 
-let probe_entry u =
-  {
-    unitary = u;
-    circuit = Circuit.empty 1;
-    source = Synthesis.Fallback;
-    distance = 0.0;
-    expansions = 0;
-    prunes = 0;
-  }
+let find t (block : Circuit.t) =
+  P.find t ~key:(block_key block) (fun e -> same_block e.block block)
 
-let canonical t u = if P.match_global_phase t then Mat.canonical_phase u else u
-
-let find t (u : Mat.t) =
-  let cu = canonical t u in
-  P.find t ~key:(Codec.key (probe_entry cu)) (fun e ->
-      entry_matches ~match_global_phase:(P.match_global_phase t) e.unitary cu)
-
-let record t (u : Mat.t) (r : Synthesis.block_result) =
+let record t (block : Circuit.t) (r : Synthesis.block_result) =
   if r.Synthesis.failure = None then
     P.record t
       {
-        unitary = canonical t u;
+        block;
         circuit = r.Synthesis.circuit;
         source = r.Synthesis.source;
         distance = r.Synthesis.distance;

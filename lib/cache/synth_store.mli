@@ -1,13 +1,16 @@
-(** Persistent synthesis store: fingerprint-keyed cache of synthesized
-    per-block circuits (VUG + CNOT structure plus attempt metadata).
+(** Persistent synthesis store: cache of synthesized per-block circuits
+    (VUG + CNOT structure plus attempt metadata), keyed by the block's
+    local op list.
 
     QSearch dominates cold compile time; its outcome for a block is a
-    pure function of the block unitary and the search options, so a
-    warm recompile of the same (or an overlapping) benchmark family can
-    skip synthesis entirely by replaying the stored circuit.  Keys are
-    the same quantized, global-phase-canonical
-    {!Epoc_pulse.Library.fingerprint} the pulse store uses; a hit is
-    verified against the stored unitary before being trusted.
+    pure function of the block's gates and the search options, so a warm
+    recompile of the same (or an overlapping) benchmark family can skip
+    synthesis entirely by replaying the stored circuit.  Keys are the
+    digest of the block's serialized op list and a hit is verified
+    against the stored ops before being trusted.  The block unitary is
+    not a sound key: a [Fallback] result is {!Synthesis.vug_form} of the
+    block's own gates, so two blocks with one unitary and different
+    gates have different results.
 
     Records that carry a [failure] (deadline expiry, injected fault)
     are never stored — an abnormal fallback must be re-attempted, not
@@ -20,7 +23,6 @@
     {!Store}); same on-disk guarantees — versioned header, quarantine,
     torn-write skip, locked atomic merge-flush. *)
 
-open Epoc_linalg
 open Epoc_circuit
 open Epoc_synthesis
 
@@ -28,7 +30,7 @@ open Epoc_synthesis
 val schema_version : int
 
 type entry = {
-  unitary : Mat.t;  (** canonical-phase block unitary, for hit verification *)
+  block : Circuit.t;  (** the block's local circuit: key and hit check *)
   circuit : Circuit.t;  (** the synthesized VUG + CNOT circuit *)
   source : Synthesis.source;
   distance : float;  (** instantiation distance of the original attempt *)
@@ -38,20 +40,21 @@ type entry = {
 
 type t
 
-(** [open_dir dir] creates [dir] if needed and loads every valid record.
-    [match_global_phase] (default [true]) must agree with the library
-    convention of the runs the store serves. *)
-val open_dir : ?match_global_phase:bool -> string -> t
+(** [open_dir dir] creates [dir] if needed and loads every valid
+    record.  Records written under another schema version (v1 keyed by
+    block unitary) are quarantined: the store starts empty and the next
+    {!flush} rewrites the file. *)
+val open_dir : string -> t
 
-(** Exact lookup by block unitary (up to global phase when the store
-    matches phases). *)
-val find : t -> Mat.t -> entry option
+(** Exact lookup by the block's local circuit: same qubit count and a
+    structurally equal op list (same gates, same parameter bits). *)
+val find : t -> Circuit.t -> entry option
 
-(** Queue a synthesis outcome for persistence, keyed by the block
-    unitary [u].  No-op when the result carries a [failure], or when an
-    entry with an equal unitary is already held.  Thread-safe; nothing
-    touches the disk until {!flush}. *)
-val record : t -> Mat.t -> Synthesis.block_result -> unit
+(** Queue the synthesis outcome of [block] for persistence.  No-op when
+    the result carries a [failure], or when an entry for an equal block
+    is already held.  Thread-safe; nothing touches the disk until
+    {!flush}. *)
+val record : t -> Circuit.t -> Synthesis.block_result -> unit
 
 (** Replay a stored entry as a block result: the stored circuit and
     source, zeroed search counters (no QSearch ran), no failure. *)

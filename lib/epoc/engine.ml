@@ -73,11 +73,7 @@ let create ?(config = Config.default) ?domains ?pool ?library ?cache ?synth ()
     match synth with
     | Some _ as s -> s
     | None ->
-        Option.map
-          (fun dir ->
-            Synth_store.open_dir
-              ~match_global_phase:config.Config.match_global_phase dir)
-          config.Config.synth_cache_dir
+        Option.map Synth_store.open_dir config.Config.synth_cache_dir
   in
   {
     pool;

@@ -70,11 +70,12 @@ type t = {
   opt_depth : int; (* depth after graph optimization, before reorder *)
   blocks : Partition.block list; (* partition stage output *)
   synth : (Partition.block * Synthesis.block_result) list;
-  synth_fresh : (Mat.t * Synthesis.block_result) list;
-  (* freshly synthesized (not replayed) results with their block
-     unitaries, in block order; only populated when a synthesis store is
-     attached.  The driver records these into the store at pipeline end —
-     candidate compilation itself never writes shared state. *)
+  synth_fresh : (Circuit.t * Synthesis.block_result) list;
+  (* freshly synthesized (not replayed) results with their blocks'
+     local circuits, in block order; only populated when a synthesis
+     store is attached.  The driver records these into the store at
+     pipeline end — candidate compilation itself never writes shared
+     state. *)
   vug_circuit : Circuit.t; (* synthesis stage output, reassembled *)
   groupings : grouping list; (* regroup sweep candidates *)
   pulse_jobs : int; (* jobs resolved by the pulse stage *)

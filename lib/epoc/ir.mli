@@ -73,9 +73,9 @@ type t = {
   opt_depth : int;  (** depth after graph optimization, before reorder *)
   blocks : Partition.block list;  (** partition stage output *)
   synth : (Partition.block * Synthesis.block_result) list;
-  synth_fresh : (Mat.t * Synthesis.block_result) list;
-      (** freshly synthesized (not replayed) results with their block
-          unitaries, in block order; populated only when a synthesis
+  synth_fresh : (Circuit.t * Synthesis.block_result) list;
+      (** freshly synthesized (not replayed) results with their blocks'
+          local circuits, in block order; populated only when a synthesis
           store is attached.  The driver records these into the store at
           pipeline end — candidate compilation never writes shared
           state. *)

@@ -242,7 +242,7 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
       List.iter
         (fun ir ->
           List.iter
-            (fun (u, r) -> Synth_store.record store u r)
+            (fun (block, r) -> Synth_store.record store block r)
             ir.Ir.synth_fresh)
         compiled;
       Synth_store.flush store;

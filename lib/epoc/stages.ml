@@ -691,9 +691,10 @@ let partition =
 (* VUG synthesis per block — independent searches with fixed seeds,
    fanned out over the pool — and reassembly into the VUG circuit.
 
-   When a synthesis store is attached, each block's unitary is looked up
-   *sequentially, in block order* before the fan-out (so store probes
-   and the synth.cache.* counters are independent of the domain count);
+   When a synthesis store is attached, each block's local circuit is
+   looked up *sequentially, in block order* before the fan-out (so store
+   probes and the synth.cache.* counters are independent of the domain
+   count);
    a verified hit replays the stored circuit with zeroed search counters
    — no QSearch runs for that block — and misses synthesize in parallel
    exactly as without a store.  Fresh results are not written here:
@@ -709,31 +710,31 @@ let synthesis =
          site ("synth<i>") for fault matching and deadline reports *)
       let indexed = List.mapi (fun i b -> (i, b)) ir.Ir.blocks in
       let m = ctx.Pass.metrics in
-      (* phase 1 (sequential): consult the synthesis store.  Each item
-         carries the block unitary (when a store is attached — it is
-         needed again to record fresh results) and the replayed result
-         on a hit. *)
-      let consulted =
+      let store =
         match ctx.Pass.synth with
-        | Some store when config.Config.use_synthesis ->
-            List.map
-              (fun (i, b) ->
-                let local = Partition.block_circuit b in
-                let u = Circuit.unitary local in
-                match Synth_store.find store u with
-                | Some e ->
-                    Metrics.incr m "synth.cache.hits";
-                    ((i, b), Some u, Some (Synth_store.to_block_result e))
-                | None ->
-                    Metrics.incr m "synth.cache.misses";
-                    ((i, b), Some u, None))
-              indexed
-        | _ -> List.map (fun ib -> (ib, None, None)) indexed
+        | Some store when config.Config.use_synthesis -> Some store
+        | _ -> None
+      in
+      (* phase 1 (sequential): consult the synthesis store; each item
+         carries the replayed result on a hit *)
+      let consulted =
+        List.map
+          (fun (i, b) ->
+            ( (i, b),
+              Option.bind store (fun store ->
+                  match Synth_store.find store (Partition.block_circuit b) with
+                  | Some e ->
+                      Metrics.incr m "synth.cache.hits";
+                      Some (Synth_store.to_block_result e)
+                  | None ->
+                      Metrics.incr m "synth.cache.misses";
+                      None) ))
+          indexed
       in
       (* phase 2 (parallel): synthesize the misses *)
       let synth_full =
         Pool.map ctx.Pass.pool
-          (fun ((i, b), u, cached) ->
+          (fun ((i, b), cached) ->
             let r =
               match cached with
               | Some r -> r
@@ -758,20 +759,21 @@ let synthesis =
                       failure = None;
                     }
             in
-            (b, u, Option.is_some cached, r))
+            (b, Option.is_some cached, r))
           consulted
       in
-      let synth = List.map (fun (b, _, _, r) -> (b, r)) synth_full in
+      let synth = List.map (fun (b, _, r) -> (b, r)) synth_full in
       (* fresh, clean results to persist at pipeline end (failures must
          be re-attempted by a later run, never replayed) *)
       let synth_fresh =
-        List.filter_map
-          (fun (_, u, was_cached, (r : Synthesis.block_result)) ->
-            match u with
-            | Some u when (not was_cached) && r.Synthesis.failure = None ->
-                Some (u, r)
-            | _ -> None)
-          synth_full
+        if Option.is_none store then []
+        else
+          List.filter_map
+            (fun (b, was_cached, (r : Synthesis.block_result)) ->
+              if (not was_cached) && r.Synthesis.failure = None then
+                Some (Partition.block_circuit b, r)
+              else None)
+            synth_full
       in
       let vug_circuit =
         List.fold_left

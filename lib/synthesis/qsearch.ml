@@ -129,8 +129,7 @@ let search ~options ~rng ~budget ?fault ~site ~attempt (target : Mat.t) =
             List.iter
               (fun succ_template ->
                 let seed =
-                  Template.extend_params current.template
-                    current.result.Instantiate.params
+                  Template.extend_params current.result.Instantiate.params
                 in
                 let node = node_of options target rng ~seed succ_template in
                 Log.debug (fun m ->

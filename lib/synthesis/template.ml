@@ -51,8 +51,7 @@ let unitary t params = Circuit.unitary (to_circuit t params)
 
 (* Warm start: extend a parent's optimal parameters with near-identity
    VUGs for the freshly added CNOT layer.  QSearch-style seeding. *)
-let extend_params t_parent (params : float array) =
-  ignore t_parent;
+let extend_params (params : float array) =
   Array.append params (Array.make 6 1e-3)
 
 let cnot_count t = List.length t.cnots

@@ -459,9 +459,13 @@ let vug_circuit_2q =
       op (Gate.U3 (0.1, 0.2, 0.3)) [ 0 ];
     ]
 
+(* The block a result was synthesized from, and a block with the same
+   unitary written with different gates ([cz] is symmetric). *)
+let block_2q = Circuit.of_ops 2 [ op Gate.CZ [ 0; 1 ]; op Gate.T [ 0 ] ]
+let block_2q_swapped = Circuit.of_ops 2 [ op Gate.CZ [ 1; 0 ]; op Gate.T [ 0 ] ]
+
 let test_synth_roundtrip () =
   let dir = tmp_dir "synth-roundtrip" in
-  let target = Circuit.unitary vug_circuit_2q in
   let r =
     {
       Synthesis.circuit = vug_circuit_2q;
@@ -475,13 +479,13 @@ let test_synth_roundtrip () =
   in
   let s = Synth_store.open_dir dir in
   Alcotest.(check bool) "cold probe misses" true
-    (Synth_store.find s target = None);
-  Synth_store.record s target r;
+    (Synth_store.find s block_2q = None);
+  Synth_store.record s block_2q r;
   Synth_store.flush s;
   let s2 = Synth_store.open_dir dir in
   Alcotest.(check int) "record reloads" 1 (Synth_store.loaded_count s2);
-  (match Synth_store.find s2 target with
-  | None -> Alcotest.fail "fingerprint hit missing after reopen"
+  (match Synth_store.find s2 block_2q with
+  | None -> Alcotest.fail "op-list hit missing after reopen"
   | Some e ->
       Alcotest.(check bool) "ops survive byte-for-byte" true
         (Circuit.ops e.Synth_store.circuit = Circuit.ops vug_circuit_2q);
@@ -496,12 +500,14 @@ let test_synth_roundtrip () =
          run's qsearch.* metrics stay empty *)
       Alcotest.(check int) "replay zeroes expansions" 0 br.Synthesis.expansions;
       Alcotest.(check int) "replay zeroes open_max" 0 br.Synthesis.open_max);
-  (* phase-rotated probe hits under the default convention *)
-  let rotated = Mat.scale (Cx.make 0.0 1.0) target in
-  Alcotest.(check bool) "phase-rotated probe hits" true
-    (Synth_store.find s2 rotated <> None);
+  (* the result depends on the gates, not only on the unitary: a block
+     with the same unitary and different gates must not replay it *)
+  Alcotest.(check bool) "same unitary" true
+    (Circuit.equal_unitary block_2q block_2q_swapped);
+  Alcotest.(check bool) "same-unitary block with other gates misses" true
+    (Synth_store.find s2 block_2q_swapped = None);
   (* failure-carrying results are never recorded *)
-  Synth_store.record s2 (Gate.matrix Gate.X)
+  Synth_store.record s2 block_2q_swapped
     { r with Synthesis.failure = Some "deadline" };
   Alcotest.(check int) "failed result not recorded" 0
     (Synth_store.pending_count s2);
@@ -510,8 +516,7 @@ let test_synth_roundtrip () =
 let test_synth_corrupt_trailing () =
   let dir = tmp_dir "synth-corrupt" in
   let s = Synth_store.open_dir dir in
-  let target = Circuit.unitary vug_circuit_2q in
-  Synth_store.record s target
+  Synth_store.record s block_2q
     {
       Synthesis.circuit = vug_circuit_2q;
       source = Synthesis.Fallback;
@@ -529,7 +534,47 @@ let test_synth_corrupt_trailing () =
   Alcotest.(check int) "valid record loads" 1 (Synth_store.loaded_count s2);
   Alcotest.(check int) "torn record skipped" 1 (Synth_store.skipped_count s2);
   Alcotest.(check bool) "entry still found" true
-    (Synth_store.find s2 target <> None);
+    (Synth_store.find s2 block_2q <> None);
+  rm_rf dir
+
+(* A schema-1 store (records keyed by block unitary, as older builds
+   wrote them) is quarantined: it opens empty, answers no probe, and the
+   next flush rewrites it under the current schema. *)
+let test_synth_v1_quarantined () =
+  let dir = tmp_dir "synth-v1" in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let oc = open_out (synth_records_path dir) in
+  output_string oc
+    "{\"format\": \"epoc-synth-cache\",\"schema_version\": 1,\
+     \"match_global_phase\": true}\n\
+     {\"key\": \"ac8eb24b6b77e78f5972d4e5a9ebd873\",\"dim\": 2,\
+     \"source\": \"fallback\",\"distance\": 0,\"expansions\": 0,\
+     \"prunes\": 0,\"unitary\": [0.70710678118654746,0,\
+     0.70710678118654746,0,0.70710678118654746,0,-0.70710678118654746,0],\
+     \"circuit\": {\"n\": 1,\"ops\": [{\"g\": \"h\",\"q\": [0]}]}}\n";
+  close_out oc;
+  let h = Circuit.of_ops 1 [ op Gate.H [ 0 ] ] in
+  let s = Synth_store.open_dir dir in
+  Alcotest.(check int) "v1 store starts empty" 0 (Synth_store.loaded_count s);
+  Alcotest.(check int) "v1 records quarantined, not parsed" 0
+    (Synth_store.skipped_count s);
+  Alcotest.(check bool) "no hit from v1 records" true
+    (Synth_store.find s h = None);
+  Synth_store.record s h
+    {
+      Synthesis.circuit = h;
+      source = Synthesis.Fallback;
+      distance = 0.0;
+      expansions = 0;
+      prunes = 0;
+      open_max = 0;
+      failure = None;
+    };
+  Synth_store.flush s;
+  let s2 = Synth_store.open_dir dir in
+  Alcotest.(check int) "rewritten store loads" 1 (Synth_store.loaded_count s2);
+  Alcotest.(check bool) "rewritten record hits" true
+    (Synth_store.find s2 h <> None);
   rm_rf dir
 
 (* Warm synthesis replay through the pipeline: the second run hits the
@@ -566,6 +611,54 @@ let test_pipeline_warm_synthesis () =
   Alcotest.(check bool) "esp identical" true
     (cold.Pipeline.esp = warm.Pipeline.esp);
   rm_rf dir
+
+(* Cold and warm compiles of the same circuit on one synthesis store
+   agree when blocks share a unitary but not their gates.  In the
+   3-qubit circuit, the ZX and direct candidates' blocks include a lone
+   cz(0,1) and cz(1,0), whose direct forms differ (H-CX-H with the CX
+   reversed); a store keyed by unitary replayed the first one's circuit
+   for both (96.2 ns cold, 103.6 ns warm).  The 6-qubit circuit went
+   from 514 ns / 17 pulses cold to 534 ns / 20 pulses warm. *)
+let warm_reproducers =
+  [
+    ( "cz-pair",
+      "qreg q[3]; cz q[0],q[1]; t q[0]; cz q[2],q[1]; h q[1];" );
+    ( "random-6q",
+      "qreg q[6]; cx q[2],q[0]; t q[5]; sx q[3]; s q[3]; \
+       rz(3.4910826834924884) q[0]; s q[0]; cz q[4],q[2]; cz q[1],q[4]; \
+       cz q[3],q[2]; cz q[1],q[3]; cx q[4],q[3]; cz q[2],q[0]; h q[3]; \
+       cz q[2],q[3]; cx q[4],q[0]; cx q[4],q[3]; cz q[5],q[0]; \
+       cx q[5],q[3]; cz q[2],q[1]; t q[5]; sx q[3]; cz q[1],q[3]; \
+       cz q[1],q[4]; cx q[4],q[5];" );
+  ]
+
+let test_warm_synthesis_same_unitary_blocks () =
+  List.iter
+    (fun (name, body) ->
+      let dir = tmp_dir ("synth-repro-" ^ name) in
+      let circuit =
+        Epoc_qasm.Qasm.of_string
+          ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n" ^ body)
+      in
+      let cfg = { Config.default with Config.synth_cache_dir = Some dir } in
+      let run () =
+        let metrics = M.create () in
+        let engine = Engine.create ~config:cfg () in
+        let session = Engine.session ~config:cfg ~metrics ~name engine in
+        (Pipeline.compile session circuit, metrics)
+      in
+      let cold, _ = run () in
+      let warm, warm_m = run () in
+      Alcotest.(check int) (name ^ ": warm run fully cached") 0
+        (M.counter_value warm_m "synth.cache.misses");
+      Alcotest.(check bool) (name ^ ": schedule identical") true
+        (cold.Pipeline.schedule = warm.Pipeline.schedule);
+      Alcotest.(check (float 0.0)) (name ^ ": latency identical")
+        cold.Pipeline.latency warm.Pipeline.latency;
+      Alcotest.(check (float 0.0)) (name ^ ": esp identical")
+        cold.Pipeline.esp warm.Pipeline.esp;
+      rm_rf dir)
+    warm_reproducers
 
 (* The warm synthesis path obeys the determinism contract: identical
    results and hit counts for any domain count. *)
@@ -614,8 +707,12 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_synth_roundtrip;
           Alcotest.test_case "corrupted trailing record" `Quick
             test_synth_corrupt_trailing;
+          Alcotest.test_case "schema-1 store quarantined" `Quick
+            test_synth_v1_quarantined;
           Alcotest.test_case "pipeline warm synthesis" `Quick
             test_pipeline_warm_synthesis;
+          Alcotest.test_case "same-unitary blocks cold vs warm" `Quick
+            test_warm_synthesis_same_unitary_blocks;
           Alcotest.test_case "warm-synthesis domain determinism" `Quick
             test_warm_synthesis_domain_determinism;
         ] );
