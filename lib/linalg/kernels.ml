@@ -63,6 +63,22 @@ let trace_mul ~d (a : float array) aoff (b : float array) boff
     done
   done
 
+(* sum_i conj(a_i) b_i over [len] complex entries into [out.(oidx)],
+   [out.(oidx + 1)]: tr(A^dag B) for equal-shape A, B, the
+   Hilbert-Schmidt overlap. *)
+let dotc ~len (a : float array) aoff (b : float array) boff
+    (out : float array) oidx =
+  let racc = ref 0.0 and iacc = ref 0.0 in
+  for i = 0 to len - 1 do
+    let ai = aoff + (2 * i) and bi = boff + (2 * i) in
+    let are = Array.unsafe_get a ai and aim = Array.unsafe_get a (ai + 1) in
+    let bre = Array.unsafe_get b bi and bim = Array.unsafe_get b (bi + 1) in
+    racc := !racc +. ((are *. bre) +. (aim *. bim));
+    iacc := !iacc +. ((are *. bim) -. (aim *. bre))
+  done;
+  out.(oidx) <- !racc;
+  out.(oidx + 1) <- !iacc
+
 (* tr(A) into [out.(oidx)], [out.(oidx + 1)]. *)
 let trace ~d (a : float array) aoff (out : float array) oidx =
   out.(oidx) <- 0.0;

@@ -42,6 +42,12 @@ val trace_mul :
   int ->
   unit
 
+(** [dotc ~len a aoff b boff out oidx] writes [sum_i conj(a_i) b_i] over
+    [len] complex entries — tr(A^dag B) for equal-shape operands — into
+    [out.(oidx)] (re), [out.(oidx + 1)] (im). *)
+val dotc :
+  len:int -> float array -> int -> float array -> int -> float array -> int -> unit
+
 (** [trace ~d a aoff out oidx] writes tr(A) into [out.(oidx)],
     [out.(oidx + 1)]. *)
 val trace : d:int -> float array -> int -> float array -> int -> unit

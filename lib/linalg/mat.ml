@@ -417,16 +417,9 @@ let is_diagonal ?(eps = 1e-9) m =
 let hs_fidelity a b =
   if not (dims_equal a b) || not (is_square a) then
     invalid_arg "Mat.hs_fidelity: need equal square dims";
-  let racc = ref 0.0 and iacc = ref 0.0 in
-  let n = Array.length a.data / 2 in
-  for i = 0 to n - 1 do
-    let are = a.data.(2 * i) and aim = a.data.((2 * i) + 1) in
-    let bre = b.data.(2 * i) and bim = b.data.((2 * i) + 1) in
-    (* conj(a) * b *)
-    racc := !racc +. ((are *. bre) +. (aim *. bim));
-    iacc := !iacc +. ((are *. bim) -. (aim *. bre))
-  done;
-  Stdlib.sqrt ((!racc *. !racc) +. (!iacc *. !iacc)) /. float_of_int a.rows
+  let f = [| 0.0; 0.0 |] in
+  Kernels.dotc ~len:(a.rows * a.cols) a.data 0 b.data 0 f 0;
+  Stdlib.sqrt ((f.(0) *. f.(0)) +. (f.(1) *. f.(1))) /. float_of_int a.rows
 
 (* Distance in [0,1]; 0 iff equal up to global phase (for unitaries). *)
 let hs_distance a b = Float.max 0.0 (1.0 -. hs_fidelity a b)
