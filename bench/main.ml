@@ -378,9 +378,10 @@ let json_file = "BENCH_pipeline.json"
    degraded_blocks/retries (the resilience counters); v3 adds the
    synth_cache_sweep section (cold/warm synthesis-cache runs); v4 adds
    the device_sweep section (per-device latency/ESP over the bundled
-   zoo) and per-benchmark ir_roundtrip flags.  The synth_micro section
-   (instantiation throughput) is optional within v4: readers skip its
-   checks when a file lacks it. *)
+   zoo) and per-benchmark ir_roundtrip flags.  The synth_micro
+   (instantiation throughput) and grape2q_micro (2-qubit GRAPE
+   throughput) sections are optional within v4: readers skip their
+   checks when a file lacks them. *)
 let bench_schema_version = 4
 
 (* --- pulse-IR round trip ---------------------------------------------------- *)
@@ -633,11 +634,78 @@ let synth_micro_json (m : synth_micro) =
     (float_of_int m.sm_steps /. m.sm_wall_s)
     (m.sm_minor_words /. float_of_int m.sm_steps)
 
+(* --- 2-qubit GRAPE throughput ---------------------------------------------- *)
+
+(* Iterations per second and minor words per iteration of a 2-qubit
+   GRAPE solve: a CZ target at 112 slots, the length of a typical
+   duration-search attempt on a 2-qubit block, where every slot
+   propagator is a 4x4 series exponential ([grape_micro]'s 1-qubit solve
+   takes the closed form instead).  The fidelity target is above 1 and
+   patience equals the budget, so every run takes all 300 iterations and
+   the count is exact.  One untimed warm-up run sizes the shared
+   workspace; each timed run's own allocations (result, pulse,
+   convergence series) are billed to its iterations. *)
+type grape2q_micro = {
+  g2_runs : int;
+  g2_iters : int;
+  g2_wall_s : float;
+  g2_minor_words : float;
+}
+
+let grape2q_slots = 112
+
+let grape2q_micro () =
+  let module G = Epoc_qoc.Grape in
+  let hw = Epoc_qoc.Hardware.make 2 in
+  let target = Gate.matrix Gate.CZ in
+  let iterations = 300 in
+  let options =
+    {
+      G.default_options with
+      G.iterations;
+      fidelity_target = 2.0;
+      patience = iterations;
+    }
+  in
+  let workspace = G.workspace () in
+  let run i =
+    match
+      G.optimize_r ~options ~rng:(Random.State.make [| i |]) ~workspace hw
+        ~target ~slots:grape2q_slots
+    with
+    | Ok r when r.G.iterations = iterations -> ()
+    | Ok _ -> failwith "grape2q_micro: a run stopped before its iteration budget"
+    | Error e -> failwith (Epoc_error.to_string e)
+  in
+  run 0;
+  let runs = 8 in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to runs do
+    run i
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  {
+    g2_runs = runs;
+    g2_iters = runs * iterations;
+    g2_wall_s = wall;
+    g2_minor_words = Gc.minor_words () -. w0;
+  }
+
+let grape2q_micro_json (m : grape2q_micro) =
+  Printf.sprintf
+    "{\"qubits\": 2, \"target\": \"cz\", \"slots\": %d, \"runs\": %d, \
+     \"iterations\": %d, \"wall_s\": %.6f, \"iters_per_s\": %.1f, \
+     \"minor_words_per_iter\": %.3f}"
+    grape2q_slots m.g2_runs m.g2_iters m.g2_wall_s
+    (float_of_int m.g2_iters /. m.g2_wall_s)
+    (m.g2_minor_words /. float_of_int m.g2_iters)
+
 (* Compile the table-1 suite and emit per-benchmark compile time, schedule
    quality, library traffic and the per-stage timing breakdown (from the
-   pass manager's trace) as JSON, plus the GRAPE and instantiation
-   throughput microbenchmarks — the numbers regressions are judged
-   against. *)
+   pass manager's trace) as JSON, plus the 1- and 2-qubit GRAPE and the
+   instantiation throughput microbenchmarks — the numbers regressions
+   are judged against. *)
 let stage_rows trace =
   (* aggregate candidate stages by name: one row per pass, wall summed *)
   String.concat ", "
@@ -699,6 +767,7 @@ let bench_json () =
       (Epoc_qoc.Grape.optimize_batch ~pool ~workspace:ws jobs)
   done;
   let batch_s = Unix.gettimeofday () -. b0 in
+  let g2 = grape2q_micro () in
   let sm = synth_micro () in
   (* cold/warm persistent-cache sweep (GRAPE pulses, small benchmarks) *)
   let sweep = cache_sweep () in
@@ -780,6 +849,8 @@ let bench_json () =
        (Option.value ~default:0.0
           (Epoc_obs.Metrics.gauge_value bench_metrics "grape.iters_per_s")));
   Buffer.add_string b
+    (Printf.sprintf "  \"grape2q_micro\": %s,\n" (grape2q_micro_json g2));
+  Buffer.add_string b
     (Printf.sprintf "  \"synth_micro\": %s,\n" (synth_micro_json sm));
   Buffer.add_string b (Printf.sprintf "  \"total_wall_s\": %.6f\n}\n" total_s);
   let oc = open_out json_file in
@@ -791,7 +862,12 @@ let bench_json () =
         r.Pipeline.compile_time r.Pipeline.latency)
     rows;
   Printf.printf
-    "\ninstantiation: %.0f Adam steps/s, %.3f minor words/step (%d steps)\n"
+    "\n2-qubit GRAPE: %.0f iters/s, %.3f minor words/iter (%d iterations)\n"
+    (float_of_int g2.g2_iters /. g2.g2_wall_s)
+    (g2.g2_minor_words /. float_of_int g2.g2_iters)
+    g2.g2_iters;
+  Printf.printf
+    "instantiation: %.0f Adam steps/s, %.3f minor words/step (%d steps)\n"
     (float_of_int sm.sm_steps /. sm.sm_wall_s)
     (sm.sm_minor_words /. float_of_int sm.sm_steps)
     sm.sm_steps;

@@ -74,11 +74,6 @@ let get_mat t i =
   Array.blit t.data (offset t i) (Mat.data m) 0 (words t);
   m
 
-let get_mat_into t i ~dst =
-  check_index "Batch.get_mat_into" t i;
-  check_mat "Batch.get_mat_into" t dst;
-  Array.blit t.data (offset t i) (Mat.data dst) 0 (words t)
-
 let of_mats ms =
   let n = Array.length ms in
   if n = 0 then invalid_arg "Batch.of_mats: empty";
@@ -200,48 +195,28 @@ let frobenius ?mask t ~out =
 
 (* --- batched matrix exponential ----------------------------------------- *)
 
-(* The dim > 2 path round-trips each live slice through a [Mat]-shaped
-   staging buffer so it can reuse [Expm]'s scaling-and-squaring core
-   verbatim; dim = 2 runs the closed-form kernel directly on the slices.
-   Either way each slice sees the exact op sequence of
-   [Expm.expi_hermitian_into] on a standalone [Mat]. *)
-type scratch = { es : Expm.scratch; stage_h : Mat.t; stage_u : Mat.t }
+(* Each live slice runs in place the kernel that
+   [Expm.expi_hermitian_into] runs on a standalone [Mat] (the closed form
+   at dim 2, the series above), so every slice sees the exact op sequence
+   of the solo exponential. *)
+type scratch = { s_dim : int; ws : float array }
 
 let scratch dim =
   if dim <= 0 then invalid_arg "Batch.scratch: non-positive dim";
-  { es = Expm.scratch dim; stage_h = Mat.create dim dim; stage_u = Mat.create dim dim }
+  { s_dim = dim; ws = Array.make (Kernels.expi_scratch dim) 0.0 }
 
 (* dst_i <- exp(-i * ts_i * h_i) for Hermitian slices of [h]. *)
 let expi_hermitian_into ?mask (s : scratch) h ts ~dst =
   check_same "Batch.expi_hermitian_into" h dst;
   check_floats "Batch.expi_hermitian_into" h ts;
   check_mask "Batch.expi_hermitian_into" h mask;
-  if Mat.rows s.stage_h <> h.dim then
+  if s.s_dim <> h.dim then
     invalid_arg "Batch.expi_hermitian_into: scratch dim mismatch";
-  if h.dim = 2 then
-    for i = 0 to h.b - 1 do
-      if live mask i then
-        Kernels.expi2_at h.data (offset h i) ts i dst.data (offset dst i)
-    done
-  else
-    for i = 0 to h.b - 1 do
-      if live mask i then begin
-        get_mat_into h i ~dst:s.stage_h;
-        Expm.expi_hermitian_into s.es s.stage_h ts.(i) ~dst:s.stage_u;
-        Array.blit (Mat.data s.stage_u) 0 dst.data (offset dst i) (words dst)
-      end
-    done
-
-(* dst_i <- exp(h_i). *)
-let expm_into ?mask (s : scratch) h ~dst =
-  check_same "Batch.expm_into" h dst;
-  check_mask "Batch.expm_into" h mask;
-  if Mat.rows s.stage_h <> h.dim then
-    invalid_arg "Batch.expm_into: scratch dim mismatch";
   for i = 0 to h.b - 1 do
-    if live mask i then begin
-      get_mat_into h i ~dst:s.stage_h;
-      Expm.expm_into s.es s.stage_h ~dst:s.stage_u;
-      Array.blit (Mat.data s.stage_u) 0 dst.data (offset dst i) (words dst)
-    end
+    if live mask i then
+      if h.dim = 2 then
+        Kernels.expi2_at h.data (offset h i) ts i dst.data (offset dst i)
+      else
+        Kernels.expi_at ~d:h.dim h.data (offset h i) ts i dst.data
+          (offset dst i) s.ws
   done

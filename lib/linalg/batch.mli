@@ -41,7 +41,6 @@ val offset : t -> int -> int
 val of_mats : Mat.t array -> t
 val set_from_mat : t -> int -> Mat.t -> unit
 val get_mat : t -> int -> Mat.t
-val get_mat_into : t -> int -> dst:Mat.t -> unit
 
 (** {1 Batched destination-passing ops} *)
 
@@ -88,7 +87,7 @@ val frobenius : ?mask:bool array -> t -> out:float array -> unit
 (** {1 Batched matrix exponential} *)
 
 type scratch
-(** Staging buffers for one batch exponential at a fixed dim; reusable
+(** Series workspace for one batch exponential at a fixed dim; reusable
     across calls and batches of any width. *)
 
 val scratch : int -> scratch
@@ -96,10 +95,8 @@ val scratch : int -> scratch
 val expi_hermitian_into :
   ?mask:bool array -> scratch -> t -> float array -> dst:t -> unit
 (** [expi_hermitian_into s h ts ~dst] sets
-    [dst_i <- exp(-i * ts_i * h_i)] for Hermitian slices of [h], via the
-    same closed-form (dim 2) or scaling-and-squaring (dim > 2) path as
-    {!Expm.expi_hermitian_into}.  Only the Hermitian part of each slice
-    is read at dim 2. *)
-
-val expm_into : ?mask:bool array -> scratch -> t -> dst:t -> unit
-(** [expm_into s a ~dst] sets [dst_i <- exp(a_i)]. *)
+    [dst_i <- exp(-i * ts_i * h_i)] for Hermitian slices of [h].  Each
+    slice runs in place the kernel that {!Expm.expi_hermitian_into} runs
+    ({!Kernels.expi2_at} at dim 2, {!Kernels.expi_at} above), so slice
+    [i] equals the solo exponential bit for bit.  Only the Hermitian part
+    of each slice is read at dim 2.  [dst] may be [h]. *)

@@ -1,80 +1,36 @@
-(* Matrix exponential by scaling-and-squaring with a Taylor core.
+(* Matrix exponential exp(-i t H) of a Hermitian H, the GRAPE slot
+   propagator.
 
-   For GRAPE we exponentiate skew-Hermitian matrices -i*dt*H whose norm is
-   small (dt ~ ns, |H| ~ rad/ns), so after scaling by 2^s the Taylor series
-   truncated at order 12 is accurate to machine precision.  The Hermitian
-   path in [Eig] is the reference implementation used in tests.
+   For GRAPE we exponentiate -i*dt*H whose norm is small (dt ~ ns, |H| ~
+   rad/ns), so after scaling by 2^-s the degree-12 Taylor polynomial
+   ([Kernels.expi_at], evaluated by Paterson-Stockmeyer in 5 products)
+   is accurate to machine precision; the 2x2 case has an exact closed
+   form ([Kernels.expi2_at]).  [Batch.expi_hermitian_into] runs the same
+   two kernels on its slices, so solo and batched propagators are
+   bit-identical by construction.  The Hermitian path in [Eig] is the
+   reference implementation used in tests.
 
-   The destination-passing entry points ([expm_into],
-   [expi_hermitian_into]) run entirely on a caller-provided [scratch] of
-   four dim x dim buffers, so the GRAPE inner loop — which exponentiates
-   one Hamiltonian per slot per iteration — performs no matrix allocation
-   at all. *)
+   [expi_hermitian_into] runs entirely on a caller-provided [scratch] (the
+   series workspace plus a float slot for the time step, which would
+   otherwise be boxed on the way into the kernel), so the GRAPE inner loop
+   — one exponential per slot per iteration — allocates nothing. *)
 
-let taylor_order = 12
-
-(* One-norm (max column sum) used to pick the scaling power. *)
-let one_norm = Mat.one_norm
-
-(* Scratch buffers for one exponential of a [dim] x [dim] matrix. *)
-type scratch = { scaled : Mat.t; term : Mat.t; tmp : Mat.t; acc : Mat.t }
+type scratch = { dim : int; ws : float array; t : float array }
 
 let scratch dim =
-  {
-    scaled = Mat.create dim dim;
-    term = Mat.create dim dim;
-    tmp = Mat.create dim dim;
-    acc = Mat.create dim dim;
-  }
+  if dim <= 0 then invalid_arg "Expm.scratch: non-positive dim";
+  { dim; ws = Array.make (Kernels.expi_scratch dim) 0.0; t = [| 0.0 |] }
 
-(* dst <- exp(c * a) for a complex scalar [c], using [s] as workspace.
-   [dst] must not alias [a] or any scratch buffer. *)
-let exp_scaled_into (s : scratch) (c : Complex.t) (a : Mat.t) ~(dst : Mat.t) =
-  if not (Mat.is_square a) then invalid_arg "Expm.exp_scaled_into: non-square";
-  let norm = Cx.norm c *. one_norm a in
-  (* Scale so the scaled norm is below 1/2. *)
-  let sq =
-    if norm <= 0.5 then 0
-    else int_of_float (Float.ceil (Float.log2 (norm /. 0.5)))
-  in
-  let factor = 1.0 /. Float.pow 2.0 (float_of_int sq) in
-  Mat.scale_into (Cx.scale factor c) a ~dst:s.scaled;
-  (* Taylor: sum_k scaled^k / k! accumulated into [s.acc]. *)
-  Mat.set_identity s.acc;
-  Mat.set_identity s.term;
-  for k = 1 to taylor_order do
-    Mat.mul_into s.term s.scaled ~dst:s.tmp;
-    Mat.scale_re_into (1.0 /. float_of_int k) s.tmp ~dst:s.term;
-    Mat.add_into s.acc s.term ~dst:s.acc
-  done;
-  (* Repeated squaring back up. *)
-  for _ = 1 to sq do
-    Mat.mul_into s.acc s.acc ~dst:s.tmp;
-    Mat.copy_into ~src:s.tmp ~dst:s.acc
-  done;
-  Mat.copy_into ~src:s.acc ~dst
-
-let expm_into (s : scratch) (a : Mat.t) ~(dst : Mat.t) =
-  exp_scaled_into s Cx.one a ~dst
-
-(* dst <- exp(-i * t * h) for Hermitian h; the GRAPE fast path.  The 2x2
-   case — the bulk of all GRAPE work, since single-qubit blocks dominate
-   every partitioned circuit — bypasses scaling-and-squaring entirely for
-   the closed-form Pauli exponential (exact, ~10x cheaper).  Only the
-   Hermitian part of [h] is read on that path. *)
+(* dst <- exp(-i * t * h) for Hermitian h.  At dim 2 only the Hermitian
+   part of [h] is read. *)
 let expi_hermitian_into (s : scratch) (h : Mat.t) (t : float) ~(dst : Mat.t) =
-  if Mat.rows h = 2 && Mat.cols h = 2 && Mat.rows dst = 2 && Mat.cols dst = 2
-  then Kernels.expi2 (Mat.data h) 0 t (Mat.data dst) 0
-  else exp_scaled_into s (Cx.make 0.0 (-.t)) h ~dst
-
-(* --- allocating wrappers ------------------------------------------------ *)
-
-let expm (a : Mat.t) =
-  if not (Mat.is_square a) then invalid_arg "Expm.expm: non-square";
-  let n = Mat.rows a in
-  let dst = Mat.create n n in
-  expm_into (scratch n) a ~dst;
-  dst
+  let d = Mat.rows h in
+  if Mat.cols h <> d || Mat.rows dst <> d || Mat.cols dst <> d then
+    invalid_arg "Expm.expi_hermitian_into: non-square or mismatched dst";
+  if s.dim <> d then invalid_arg "Expm.expi_hermitian_into: scratch dim mismatch";
+  s.t.(0) <- t;
+  if d = 2 then Kernels.expi2_at (Mat.data h) 0 s.t 0 (Mat.data dst) 0
+  else Kernels.expi_at ~d (Mat.data h) 0 s.t 0 (Mat.data dst) 0 s.ws
 
 (* exp(-i * t * h) for Hermitian h. *)
 let expi_hermitian (h : Mat.t) (t : float) =

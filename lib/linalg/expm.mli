@@ -1,10 +1,15 @@
-(** Matrix exponential by scaling-and-squaring with a Taylor core, plus a
-    closed-form fast path for 2x2 Hermitian exponentials.
+(** Matrix exponential exp(-i·t·H) of a Hermitian [H]: scaling and
+    squaring around a degree-12 Taylor polynomial evaluated by
+    Paterson–Stockmeyer in 5 matrix products ({!Kernels.expi_at}), and
+    the exact closed form at 2x2 ({!Kernels.expi2_at}).
+    {!Batch.expi_hermitian_into} runs the same kernels on its slices, so
+    solo and batched GRAPE propagators are bit-identical by
+    construction.
 
-    The destination-passing entry points run entirely on a caller-provided
-    {!scratch}, so the GRAPE inner loop — one exponential per slot per
-    iteration — performs no matrix allocation.  The Hermitian path in
-    {!Eig} is the independent reference implementation used by the tests.
+    {!expi_hermitian_into} runs entirely on a caller-provided {!scratch},
+    so the GRAPE inner loop — one exponential per slot per iteration —
+    allocates nothing.  The Hermitian path in {!Eig} is the independent
+    reference implementation used by the tests.
 
     Error contract: every raise is [Invalid_argument] for a violated
     precondition (non-square input, mismatched scratch/destination dims),
@@ -16,20 +21,12 @@ type scratch
 
 val scratch : int -> scratch
 
-val exp_scaled_into : scratch -> Cx.t -> Mat.t -> dst:Mat.t -> unit
-(** [exp_scaled_into s c a ~dst] sets [dst <- exp(c * a)].  [dst] must
-    not alias [a] or any scratch buffer. *)
-
-val expm_into : scratch -> Mat.t -> dst:Mat.t -> unit
-(** [expm_into s a ~dst] sets [dst <- exp(a)]. *)
-
 val expi_hermitian_into : scratch -> Mat.t -> float -> dst:Mat.t -> unit
 (** [expi_hermitian_into s h t ~dst] sets [dst <- exp(-i * t * h)] for
     Hermitian [h].  The 2x2 case uses the exact closed-form Pauli
-    exponential ({!Kernels.expi2}) and reads only the Hermitian part of
-    [h]; larger dims run scaling-and-squaring. *)
+    exponential and reads only the Hermitian part of [h]; larger dims run
+    the series.  [dst] may alias [h]. *)
 
-(** {1 Allocating wrappers} *)
+(** {1 Allocating wrapper} *)
 
-val expm : Mat.t -> Mat.t
 val expi_hermitian : Mat.t -> float -> Mat.t

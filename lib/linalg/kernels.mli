@@ -1,8 +1,8 @@
 (** Raw offset-based kernels over interleaved (re, im) float arrays.
 
     This is the single implementation point for the dense complex
-    arithmetic in this library: {!Mat}'s destination-passing ops,
-    {!Expm}'s Taylor core and {!Batch}'s multi-matrix ops all call these
+    arithmetic in this library: {!Mat}'s destination-passing ops, the
+    matrix exponential and {!Batch}'s multi-matrix ops all call these
     kernels on their flat storage.  Because a batched op on matrix slice
     [i] runs the exact floating-point operation sequence of the
     single-matrix op, batched and unbatched GRAPE solves are bit-identical
@@ -16,7 +16,8 @@
 
 (** [mul ~m ~n ~p a aoff b boff dst doff] writes the [m x n] times
     [n x p] product into [dst] at [doff].  [dst] must not overlap either
-    input range. *)
+    input range.  At [m = n = p = 4] an unrolled loop runs; for finite
+    inputs it returns the generic loop's bits. *)
 val mul :
   m:int ->
   n:int ->
@@ -73,13 +74,32 @@ val scale_re : len:int -> float -> float array -> int -> float array -> int -> u
 (** Write the [d x d] identity at the offset. *)
 val set_identity : d:int -> float array -> int -> unit
 
-(** [expi2 h hoff t dst doff] writes exp(-i·t·H) for a Hermitian 2x2 [H]
-    in closed form (Pauli decomposition; exact up to rounding).  Only the
-    Hermitian part of the input is read: the real diagonal and [H01].
-    [dst] may alias [h]. *)
-val expi2 : float array -> int -> float -> float array -> int -> unit
-
-(** [expi2_at h hoff ts ti dst doff]: as {!expi2} with the time step read
-    from [ts.(ti)] (same no-float-args rationale as {!axpy_re_at}). *)
+(** [expi2_at h hoff ts ti dst doff] writes exp(-i·t·H) for a Hermitian
+    2x2 [H] in closed form (Pauli decomposition; exact up to rounding),
+    with the time step [t] read from [ts.(ti)] (same no-float-args
+    rationale as {!axpy_re_at}).  Only the Hermitian part of the input is
+    read: the real diagonal and [H01].  [dst] may alias [h]. *)
 val expi2_at :
   float array -> int -> float array -> int -> float array -> int -> unit
+
+(** [expi_scratch d] is the number of scratch floats {!expi_at} needs at
+    dimension [d]. *)
+val expi_scratch : int -> int
+
+(** [expi_at ~d h hoff ts ti dst doff ws] writes exp(-i·t·H) for a
+    [d x d] [H], with [t] read from [ts.(ti)]: scaling and squaring
+    around the degree-12 Taylor polynomial, evaluated by
+    Paterson–Stockmeyer in 5 products.  Every entry of [H] is read.
+    [ws] holds at least [expi_scratch d] floats and must not overlap
+    [dst]; [dst] may alias [h].  Allocates nothing.  {!Expm} and {!Batch}
+    run it at every dim above 2. *)
+val expi_at :
+  d:int ->
+  float array ->
+  int ->
+  float array ->
+  int ->
+  float array ->
+  int ->
+  float array ->
+  unit

@@ -120,13 +120,17 @@ type result = {
   series : sample list; (* convergence telemetry, oldest first *)
 }
 
-(* Assemble H = H0 + sum_j u_j H_j into [h] (preallocated). *)
+(* Assemble H = H0 + sum_j u_j H_j into [h] (preallocated).  Each
+   amplitude is read from its slot in [amps.(j)] by [Kernels.axpy_re_at]
+   — the loop [Mat.add_scaled_re_into] runs, without boxing the scalar —
+   so a call allocates nothing. *)
 let assemble_hamiltonian ~h0 ~(ctrls : Hardware.control array) amps k ~h =
   Mat.copy_into ~src:h0 ~dst:h;
-  Array.iteri
-    (fun j (c : Hardware.control) ->
-      Mat.add_scaled_re_into amps.(j).(k) c.Hardware.matrix ~dst:h)
-    ctrls
+  let len = Mat.rows h * Mat.cols h in
+  for j = 0 to Array.length ctrls - 1 do
+    Kernels.axpy_re_at ~len amps.(j) k (Mat.data ctrls.(j).Hardware.matrix) 0
+      (Mat.data h) 0
+  done
 
 (* Total propagator for a pulse under the hardware model. *)
 let propagate hw (p : pulse) =

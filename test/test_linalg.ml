@@ -122,13 +122,18 @@ let test_expi_unitary () =
 (* --- Expm -------------------------------------------------------------- *)
 
 let test_expm_zero () =
-  Alcotest.check mat "exp(0) = I" (Mat.identity 4) (Expm.expm (Mat.zeros 4 4))
+  Alcotest.check mat "exp(0) = I" (Mat.identity 4)
+    (Expm.expi_hermitian (Mat.zeros 4 4) 1.0)
+
+(* The series and Eig agree to ~5e-14 on this input and to ~3e-13 at
+   worst over dims 4-16 and t up to 8. *)
+let mat_1e12 = Alcotest.testable Mat.pp (Mat.approx_equal ~eps:1e-12)
 
 let test_expm_matches_eig () =
   let h = seeded_hermitian 23 6 in
   for i = 0 to 4 do
     let t = 0.1 +. (0.8 *. float_of_int i) in
-    Alcotest.check mat
+    Alcotest.check mat_1e12
       (Printf.sprintf "expm vs eig at t=%g" t)
       (Eig.expi_hermitian h t) (Expm.expi_hermitian h t)
   done
@@ -304,6 +309,119 @@ let test_mix_rows_matches_reference () =
   Mat.mix_rows_inplace u ~rows ~coeff ~scratch;
   Alcotest.check mat "mix_rows_inplace = gather/combine reference" expected u
 
+(* --- unrolled 4x4 product and series exponential ----------------------- *)
+
+(* The generic [Kernels.mul] loop — row, k, column order, terms whose
+   a-entry is +-0 skipped — kept here as the reference the unrolled 4x4
+   path must reproduce bit for bit. *)
+let generic_mul ~m ~n ~p a b =
+  let dst = Array.make (2 * m * p) 0.0 in
+  for r = 0 to m - 1 do
+    for k = 0 to n - 1 do
+      let are = a.(2 * ((r * n) + k)) and aim = a.((2 * ((r * n) + k)) + 1) in
+      if are <> 0.0 || aim <> 0.0 then
+        for c = 0 to p - 1 do
+          let bre = b.(2 * ((k * p) + c))
+          and bim = b.((2 * ((k * p) + c)) + 1) in
+          let oi = 2 * ((r * p) + c) in
+          dst.(oi) <- dst.(oi) +. ((are *. bre) -. (aim *. bim));
+          dst.(oi + 1) <- dst.(oi + 1) +. ((are *. bim) +. (aim *. bre))
+        done
+    done
+  done;
+  dst
+
+let same_bits x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x y
+
+(* Entries that stress the dropped zero-skip: exact +0.0 and -0.0,
+   subnormals and ordinary values.  The share of zeros is drawn per
+   operand pair (up to 90%), so some products have whole +-0 terms and
+   entries whose every term is -0.0 — the case where the unrolled chain
+   must still start from +0.0. *)
+let gen_edge_floats =
+  QCheck.Gen.(
+    oneofl [ 0.1; 0.5; 0.9 ] >>= fun zeros ->
+    let entry =
+      float_bound_inclusive 1.0 >>= fun u ->
+      oneofl [ 1.0; -1.0 ] >>= fun sign ->
+      if u < zeros then return (sign *. 0.0)
+      else
+        frequency
+          [
+            ( 1,
+              map
+                (fun v -> sign *. Float.ldexp v (-1060))
+                (float_bound_inclusive 1.0) );
+            (3, float_range (-1.0) 1.0);
+          ]
+    in
+    pair (array_size (return 32) entry) (array_size (return 32) entry))
+
+let arb_mul4_operands =
+  QCheck.make
+    ~print:(fun (a, b) ->
+      let show x =
+        String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") x))
+      in
+      show a ^ " * " ^ show b)
+    gen_edge_floats
+
+let prop_mul4_bit_identical =
+  QCheck.Test.make ~name:"4x4 unrolled mul = generic loop bit-for-bit"
+    ~count:500 arb_mul4_operands (fun (a, b) ->
+      (* operands at odd offsets inside NaN-filled arrays *)
+      let place off x =
+        let buf = Array.make (off + 40) Float.nan in
+        Array.blit x 0 buf off 32;
+        buf
+      in
+      let dst = Array.make 40 Float.nan in
+      Kernels.mul ~m:4 ~n:4 ~p:4 (place 6 a) 6 (place 2 b) 2 dst 4;
+      same_bits (Array.sub dst 4 32) (generic_mul ~m:4 ~n:4 ~p:4 a b))
+
+(* exp(-i t H) by the term-by-term degree-12 Taylor series under the
+   same one-norm scaling and repeated squaring, kept here as the
+   reference for the Paterson-Stockmeyer kernel. *)
+let taylor_expi h t =
+  let n = Mat.rows h in
+  let norm = Float.abs t *. Mat.one_norm h in
+  let sq =
+    if norm <= 0.5 then 0
+    else int_of_float (Float.ceil (Float.log2 (norm /. 0.5)))
+  in
+  let a = Mat.scale (Cx.make 0.0 (-.t /. Float.pow 2.0 (float_of_int sq))) h in
+  let acc = ref (Mat.identity n) and term = ref (Mat.identity n) in
+  for k = 1 to 12 do
+    term := Mat.scale_re (1.0 /. float_of_int k) (Mat.mul !term a);
+    acc := Mat.add !acc !term
+  done;
+  for _ = 1 to sq do
+    acc := Mat.mul !acc !acc
+  done;
+  !acc
+
+(* The series kernel at every dim, 2 included (where [Expm] takes the
+   closed form instead); unit one-norm Hermitians, so t in [0.05, 8]
+   spans 0 to 4 squarings. *)
+let prop_expm_matches_taylor =
+  QCheck.Test.make ~name:"series expm = sequential Taylor-12 reference to 1e-13"
+    ~count:80
+    (QCheck.make
+       ~print:(fun (n, seed, t) -> Printf.sprintf "dim %d seed %d t %g" n seed t)
+       QCheck.Gen.(
+         triple (int_range 2 16) (int_bound 1_000_000) (float_range 0.05 8.0)))
+    (fun (n, seed, t) ->
+      let h = seeded_hermitian seed n in
+      let h = Mat.scale_re (1.0 /. Mat.one_norm h) h in
+      let u = Mat.create n n in
+      Kernels.expi_at ~d:n (Mat.data h) 0 [| t |] 0 (Mat.data u) 0
+        (Array.make (Kernels.expi_scratch n) 0.0);
+      Mat.approx_equal ~eps:1e-13 u (taylor_expi h t))
+
 (* --- qcheck properties ------------------------------------------------- *)
 
 let gen_hermitian =
@@ -345,6 +463,8 @@ let kernel_cases =
       prop_trace_mul_matches;
       prop_elementwise_alias;
       prop_canonical_phase_random;
+      prop_mul4_bit_identical;
+      prop_expm_matches_taylor;
     ]
   @ [
       Alcotest.test_case "mul_into/adjoint_into reject aliasing" `Quick
@@ -414,10 +534,17 @@ let prop_batch_axpy_bit_identical =
              mat_exact r (Batch.get_mat dst i))))
 
 let prop_batch_expi_bit_identical =
-  (* dim 2 takes the closed-form [Kernels.expi2_at] fast path, dim > 2
-     the staged scaling-and-squaring path; the generator covers both. *)
+  (* dim 2 takes the closed form, dim > 2 the series on the slice in
+     place; half the draws are dim 8, the smallest checkpoint-core dim. *)
   QCheck.Test.make ~name:"Batch.expi_hermitian_into = Expm bit-for-bit"
-    ~count:40 arb_batch_shape (fun (d, b, seed) ->
+    ~count:40
+    (QCheck.make
+       ~print:(fun (d, b, s) -> Printf.sprintf "dim %d batch %d seed %d" d b s)
+       QCheck.Gen.(
+         triple
+           (frequency [ (1, int_range 2 6); (1, return 8) ])
+           (int_range 1 5) (int_bound 1_000_000)))
+    (fun (d, b, seed) ->
       let hm = Array.init b (fun i -> seeded_hermitian (seed + i) d) in
       let ts = seeded_floats (seed + 300) b in
       let h = Batch.of_mats hm and dst = Batch.create b d in

@@ -7,8 +7,9 @@
    Compares per-benchmark compile time, per-stage wall clock and the
    GRAPE and instantiation micro-benchmark throughputs of a candidate
    run against a committed baseline.  [--micro-only] restricts the gate
-   to the micro-benchmarks (GRAPE solo and batched iterations/s,
-   instantiation Adam steps/s): those numbers are stable enough on
+   to the micro-benchmarks (1-qubit GRAPE solo and batched
+   iterations/s, 2-qubit GRAPE iterations/s, instantiation Adam
+   steps/s): those numbers are stable enough on
    shared CI runners to be a hard gate, where full pipeline wall-clock
    comparison stays a soft signal.  A measurement regresses when it is more than
    [threshold] percent slower (default 20%) AND the absolute slowdown
@@ -168,7 +169,8 @@ let compare_benchmark gate base cand =
    inverted and has no absolute floor (the micro-benchmarks always run
    long enough).  A field the baseline lacks — [batch_iters_per_s]
    before the batched solver, the whole [synth_micro] section before the
-   exact-gradient instantiation lane — skips its check rather than
+   exact-gradient instantiation lane, [grape2q_micro] before the 2-qubit
+   GRAPE lane — skips its check rather than
    failing; a field the baseline has and the candidate lacks (or holds
    a non-number) is a regression, so a lane dropped by a refactor cannot
    pass the gate. *)
@@ -197,6 +199,8 @@ let compare_micro gate base cand =
     ~field:"iters_per_s" ~unit:"iters/s" base cand;
   compare_throughput gate ~what:"grape_micro/batch" ~section:"grape_micro"
     ~field:"batch_iters_per_s" ~unit:"iters/s" base cand;
+  compare_throughput gate ~what:"grape2q_micro" ~section:"grape2q_micro"
+    ~field:"iters_per_s" ~unit:"iters/s" base cand;
   compare_throughput gate ~what:"synth_micro" ~section:"synth_micro"
     ~field:"steps_per_s" ~unit:"steps/s" base cand
 
