@@ -405,9 +405,12 @@ let report_json (r : Epoc.Pipeline.result) metrics ~process =
       ("process", M.to_json process);
     ]
 
+(* One histogram: count, sum (for [grape.iterations], the GRAPE
+   iterations of the whole compile), mean and range. *)
 let pp_hist_row name (h : M.hist_snapshot) =
-  Printf.printf "  %-26s n=%-5d mean=%-12.4g min=%-12.4g max=%-12.4g\n" name
-    h.M.count (M.mean h)
+  Printf.printf
+    "  %-26s n=%-5d sum=%-12.6g mean=%-12.4g min=%-12.4g max=%-12.4g\n" name
+    h.M.count h.M.sum (M.mean h)
     (if h.M.count = 0 then 0.0 else h.M.vmin)
     (if h.M.count = 0 then 0.0 else h.M.vmax)
 

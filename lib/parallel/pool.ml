@@ -2,7 +2,7 @@
 
    OCaml 5 domains are heavyweight (each owns a minor heap and a systhread),
    so the pool does not keep domains alive between calls; it bounds how many
-   extra domains may exist at once and spawns them per [map] call.  That
+   extra domains may exist at once and spawns them per fan-out call.  That
    keeps the design composable: one [t] can be threaded through nested
    pipeline stages and the total number of live domains stays bounded by
    [domains], no matter how the stages nest, because each call reserves
@@ -10,12 +10,12 @@
    execution when the budget is exhausted.
 
    Determinism: [map] always preserves item order in its result, and with
-   [domains <= 1] (the default on single-core machines, or EPOC_JOBS=1) it
-   degenerates to plain [List.map] on the calling domain.  Callers are
-   responsible for keeping the mapped function free of order-dependent
-   side effects; the EPOC pipeline arranges this by giving each parallel
-   region either pure work or a forked library that is absorbed in a fixed
-   order afterwards. *)
+   [domains <= 1] (the default on single-core machines, or EPOC_JOBS=1)
+   both fan-outs degenerate to a plain loop in item order on the calling
+   domain.  Callers are responsible for keeping the mapped function free
+   of order-dependent side effects; the EPOC pipeline arranges this by
+   giving each parallel region either pure work or a forked library that
+   is absorbed in a fixed order afterwards. *)
 
 type t = {
   max_extra : int; (* extra domains beyond the caller, >= 0 *)
@@ -76,49 +76,57 @@ let record_map t ~items ~extra =
         Epoc_obs.Metrics.incr ~by:extra m "pool.workers_spawned"
       end
 
+(* Run [f lo], ..., [f (hi - 1)].  Without a granted extra domain this
+   is a plain [for] loop on the calling domain, so a call allocates
+   nothing there; hot loops hoist [f] and fan out every iteration. *)
+let parallel_for t ~lo ~hi f =
+  let n = hi - lo in
+  let extra =
+    if n <= 1 || t.max_extra = 0 then 0 else reserve t (min t.max_extra (n - 1))
+  in
+  record_map t ~items:(max 0 n) ~extra;
+  if extra = 0 then
+    for i = lo to hi - 1 do
+      f i
+    done
+  else
+    Fun.protect
+      ~finally:(fun () -> release t extra)
+      (fun () ->
+        let errors = Array.make n None in
+        let next = Atomic.make lo in
+        let worker () =
+          let continue = ref true in
+          while !continue do
+            let i = Atomic.fetch_and_add next 1 in
+            if i >= hi then continue := false
+            else
+              match f i with
+              | () -> ()
+              | exception e ->
+                  errors.(i - lo) <- Some (e, Printexc.get_raw_backtrace ())
+          done
+        in
+        let workers = Array.init extra (fun _ -> Domain.spawn worker) in
+        worker ();
+        Array.iter Domain.join workers;
+        (* surface the first failure in index order, so error behaviour
+           does not depend on the domain count *)
+        Array.iter
+          (function
+            | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+          errors)
+
 let map t f xs =
   let items = Array.of_list xs in
-  let n = Array.length items in
-  if n <= 1 || t.max_extra = 0 then begin
-    record_map t ~items:n ~extra:0;
-    List.map f xs
-  end
-  else
-    let extra = reserve t (min t.max_extra (n - 1)) in
-    record_map t ~items:n ~extra;
-    if extra = 0 then List.map f xs
-    else
-      Fun.protect
-        ~finally:(fun () -> release t extra)
-        (fun () ->
-          let results = Array.make n None in
-          let next = Atomic.make 0 in
-          let worker () =
-            let continue = ref true in
-            while !continue do
-              let i = Atomic.fetch_and_add next 1 in
-              if i >= n then continue := false
-              else
-                results.(i) <-
-                  Some
-                    (match f items.(i) with
-                    | v -> Ok v
-                    | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-            done
-          in
-          let workers = Array.init extra (fun _ -> Domain.spawn worker) in
-          worker ();
-          Array.iter Domain.join workers;
-          (* surface the first failure in item order, so error behaviour
-             does not depend on the domain count *)
-          Array.iter
-            (function
-              | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-              | _ -> ())
-            results;
-          List.init n (fun i ->
-              match results.(i) with
-              | Some (Ok v) -> v
-              | _ -> assert false (* all items visited, no Error left *)))
+  let results = Array.make (Array.length items) None in
+  parallel_for t ~lo:0 ~hi:(Array.length items) (fun i ->
+      results.(i) <- Some (f items.(i)));
+  Array.fold_right
+    (fun r acc ->
+      match r with
+      | Some v -> v :: acc
+      | None -> assert false (* every index ran, or the fan-out raised *))
+    results []
 
 let map_array t f xs = Array.of_list (map t f (Array.to_list xs))

@@ -30,6 +30,16 @@ val metrics : t -> Epoc_obs.Metrics.t option
 val sequential : t
 (** A pool that never spawns; [map sequential] is [List.map]. *)
 
+val parallel_for : t -> lo:int -> hi:int -> (int -> unit) -> unit
+(** [parallel_for t ~lo ~hi f] runs [f i] for every [lo <= i < hi], in
+    any order and on up to [domains t] domains.  It reserves workers the
+    way [map] does and records the same traffic counters.  Without a
+    granted extra domain it is a plain [for] loop in index order on the
+    calling domain, which allocates nothing: a solver can hoist [f] out
+    of its iteration loop and fan out every iteration for free on one
+    domain.  If any [f i] raises, the exception of the lowest failing
+    index is re-raised after all workers finish. *)
+
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] applies [f] to every element and returns results in
     input order.  Runs sequentially when the list has fewer than two

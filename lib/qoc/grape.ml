@@ -27,11 +27,16 @@
    count — so it pins the association of every floating-point reduction
    and those solves are also bit-identical for any EPOC_JOBS.
 
-   The lockstep inner loop is allocation-free: all matrix scratch lives
-   in a [workspace] reused across iterations, attempts and whole solve
+   Both inner loops are allocation-free: all matrix scratch lives in a
+   [workspace] reused across iterations, attempts and whole solve
    sequences (the duration search passes one workspace through every
    attempt), and convergence samples are recorded into preallocated
-   arrays, listified once per solve. *)
+   arrays, listified once per solve.
+
+   An attempt stops early when its recent progress cannot reach the
+   fidelity target ([patience_stop]); a stop only truncates the
+   attempt, so the iterations it does run are exactly those of the
+   uncut attempt. *)
 
 open Epoc_linalg
 module Pool = Epoc_parallel.Pool
@@ -76,6 +81,7 @@ type options = {
   learning_rate : float;
   fidelity_target : float;
   patience : int;
+      (* window of the progress-aware stop; see [patience_stop] *)
   init : float array array option;
       (* warm-start amplitudes [control][slot] from a cached near-neighbor
          pulse; resampled to the requested slot count and clipped to the
@@ -94,13 +100,35 @@ let default_options =
 (* Why the ascent loop ended. *)
 type stop_reason =
   | Target_hit (* fidelity target reached *)
-  | Patience (* no improvement for [patience] iterations *)
+  | Patience (* recent gain too small to reach the target *)
   | Budget (* iteration budget exhausted *)
 
 let stop_reason_name = function
   | Target_hit -> "target"
   | Patience -> "patience"
   | Budget -> "budget"
+
+(* The patience stop after iteration [t] (1-based), [best.(i)] being the
+   best-so-far fidelity after iteration [i + 1]: stop when twice the
+   mean gain of the last [patience] iterations, carried over the
+   iterations left, still ends below the target,
+     best_t + 2 (best_t - best_(t-patience)) / patience (iterations - t)
+       < target.
+   A plateau (zero gain) always stops.  Rounding the fidelities by a
+   few ulps moves the projection by a few ulps, so it flips the
+   decision only when the projection sits that close to the target.
+   It never fires before a full
+   window or on the last iteration (that attempt ends by budget), so
+   [patience >= iterations] never stops a run.  Floats arrive boxed
+   from the caller's records and the result is a bool: a call
+   allocates nothing. *)
+let patience_stop ~target ~patience ~iterations (best : float array) t =
+  t > patience && t < iterations
+  &&
+  let now = best.(t - 1) in
+  let gain = now -. best.(t - 1 - patience) in
+  now +. (2.0 *. gain /. float_of_int patience *. float_of_int (iterations - t))
+  < target
 
 (* One point of the convergence series, recorded every iteration. *)
 type sample = {
@@ -207,7 +235,6 @@ type jstate = {
   j_nan : bool; (* injected-fault decisions, resolved up front *)
   j_deadline : bool;
   mutable j_iters : int;
-  mutable j_since : int;
   mutable j_stop : stop_reason;
   mutable j_running : bool;
   mutable j_err : Epoc_error.t option;
@@ -218,6 +245,7 @@ type jstate = {
      float-array stores are unboxed. *)
   j_hot : float array;
   j_acc : float array; (* (grad_sq, step_abs) for the lockstep core *)
+  j_best : float array; (* best-so-far fidelity after each iteration *)
   (* convergence series, recorded into flat arrays (at most one sample
      per iteration) and listified once per solve *)
   j_s_it : int array;
@@ -295,12 +323,12 @@ let make_state (bj : batch_job) =
     j_deadline =
       Epoc_fault.fires_opt bj.bj_fault ~kind:"deadline" ~site ~attempt;
     j_iters = 0;
-    j_since = 0;
     j_stop = Budget;
     j_running = true;
     j_err = None;
     j_hot = [| 0.0; 0.0; 0.0; 0.0 |];
     j_acc = [| 0.0; 0.0 |];
+    j_best = Array.make (Stdlib.max 1 options.iterations) 0.0;
     j_s_it = Array.make (Stdlib.max 1 options.iterations) 0;
     j_s_fid = Array.make (Stdlib.max 1 options.iterations) 0.0;
     j_s_grad = Array.make (Stdlib.max 1 options.iterations) 0.0;
@@ -356,8 +384,9 @@ let check_job st it =
       fail st e;
       false
 
-(* Consume the fidelity overlap z = tr(U_target^dag U): track the best
-   pulse, decide stopping, stage the gradient phase factor.  Returns
+(* Consume the fidelity overlap z = tr(U_target^dag U) of iteration
+   [it]: track the best pulse, decide stopping (target, then
+   [patience_stop]), stage the gradient phase factor.  Returns
    true when the backward sweep should run this iteration.  The phase
    expressions replicate [Cx.div (Cx.conj z) (Cx.of_float n)] term by
    term so batched solves match the historical solver bitwise. *)
@@ -392,17 +421,20 @@ let eval_fidelity st it (tr : float array) ti =
       st.j_hot.(3) <- fnow;
       for j = 0 to st.j_nc - 1 do
         Array.blit st.j_amp.(j) 0 st.j_best_amp.(j) 0 st.j_slots
-      done;
-      st.j_since <- 0
-    end
-    else st.j_since <- st.j_since + 1;
+      done
+    end;
+    st.j_best.(it - 1) <- st.j_hot.(3);
     if fnow >= st.j_opts.fidelity_target then begin
       st.j_stop <- Target_hit;
       record_stop st it;
       st.j_running <- false;
       false
     end
-    else if st.j_since > st.j_opts.patience then begin
+    else if
+      patience_stop ~target:st.j_opts.fidelity_target
+        ~patience:st.j_opts.patience ~iterations:st.j_opts.iterations
+        st.j_best it
+    then begin
       st.j_stop <- Patience;
       record_stop st it;
       st.j_running <- false;
@@ -851,101 +883,96 @@ let run_lockstep (l : lockstep_bufs) (sts : jstate array) =
 
    Every product association above is fixed by the segment boundaries,
    which depend only on (dim, slots), so results are identical for any
-   pool size — including [Pool.sequential]. *)
+   pool size — including [Pool.sequential].
+
+   The four segment sweeps are closures over per-solve state (and
+   [ck_pw], rewritten in place per iteration), built once per solve;
+   [Pool.parallel_for] runs them as a plain loop when the pool grants
+   no extra domain, so on one domain an iteration allocates nothing
+   beyond its convergence sample. *)
 let run_checkpoint pool (c : ck_bufs) (st : jstate) =
   let dim = c.ck_dim in
   let slots = st.j_slots in
   let nseg = segments ~dim ~slots in
   let lo s = s * slots / nseg in
-  let seg_ids = List.init nseg (fun s -> s) in
-  let tail_ids = List.init (nseg - 1) (fun s -> s + 1) in
   let iters = st.j_opts.iterations in
+  let forward s =
+    let sb = c.ck_segs.(s) in
+    let first = lo s and hi = lo (s + 1) in
+    for k = first to hi - 1 do
+      assemble_hamiltonian ~h0:st.j_h0 ~ctrls:st.j_ctrls st.j_amp k ~h:sb.sg_h;
+      Expm.expi_hermitian_into sb.sg_es sb.sg_h st.j_dt ~dst:c.ck_props.(k);
+      if k = first && s > 0 then
+        Mat.copy_into ~src:c.ck_props.(k) ~dst:c.ck_fwd.(k + 1)
+      else Mat.mul_into c.ck_props.(k) c.ck_fwd.(k) ~dst:c.ck_fwd.(k + 1)
+    done
+  in
+  let rebase s =
+    let sb = c.ck_segs.(s) in
+    let first = lo s and hi = lo (s + 1) in
+    let bprev = if s = 1 then c.ck_fwd.(lo 1) else c.ck_cps.(s - 1) in
+    for k = first + 1 to hi - 1 do
+      Mat.mul_into c.ck_fwd.(k) bprev ~dst:sb.sg_tmp;
+      Mat.copy_into ~src:sb.sg_tmp ~dst:c.ck_fwd.(k)
+    done;
+    if s > 1 then Mat.copy_into ~src:bprev ~dst:c.ck_fwd.(first);
+    if s = nseg - 1 then Mat.copy_into ~src:c.ck_cps.(s) ~dst:c.ck_fwd.(slots)
+  in
+  let suffix s =
+    let sb = c.ck_segs.(s) in
+    let first = lo s and hi = lo (s + 1) in
+    Mat.copy_into ~src:c.ck_props.(hi - 1) ~dst:sb.sg_q;
+    for k = hi - 2 downto first do
+      Mat.mul_into sb.sg_q c.ck_props.(k) ~dst:sb.sg_q2;
+      let tmp = sb.sg_q in
+      sb.sg_q <- sb.sg_q2;
+      sb.sg_q2 <- tmp
+    done
+  in
+  let gradient s =
+    let sb = c.ck_segs.(s) in
+    let first = lo s and hi = lo (s + 1) in
+    sb.sg_acc.(0) <- 0.0;
+    sb.sg_acc.(1) <- 0.0;
+    Mat.copy_into ~src:c.ck_ent.(s) ~dst:sb.sg_b;
+    for k = hi - 1 downto first do
+      Mat.mul_into c.ck_fwd.(k) sb.sg_b ~dst:sb.sg_m;
+      Mat.mul_into c.ck_props.(k) sb.sg_m ~dst:sb.sg_a;
+      for j = 0 to st.j_nc - 1 do
+        Kernels.trace_mul ~d:dim (Mat.data sb.sg_a) 0
+          (Mat.data st.j_ctrls.(j).Hardware.matrix)
+          0 sb.sg_tr 0;
+        adam_update st c.ck_pw j k sb.sg_tr 0 sb.sg_acc
+      done;
+      Mat.mul_into sb.sg_b c.ck_props.(k) ~dst:sb.sg_b2;
+      let tmp = sb.sg_b in
+      sb.sg_b <- sb.sg_b2;
+      sb.sg_b2 <- tmp
+    done
+  in
   Mat.set_identity c.ck_fwd.(0);
   let it = ref 1 in
   while st.j_running && !it <= iters do
     let t = !it in
     if check_job st t then begin
-      ignore
-        (Pool.map pool
-           (fun s ->
-             let sb = c.ck_segs.(s) in
-             let first = lo s and hi = lo (s + 1) in
-             for k = first to hi - 1 do
-               assemble_hamiltonian ~h0:st.j_h0 ~ctrls:st.j_ctrls st.j_amp k
-                 ~h:sb.sg_h;
-               Expm.expi_hermitian_into sb.sg_es sb.sg_h st.j_dt
-                 ~dst:c.ck_props.(k);
-               if k = first && s > 0 then
-                 Mat.copy_into ~src:c.ck_props.(k) ~dst:c.ck_fwd.(k + 1)
-               else
-                 Mat.mul_into c.ck_props.(k) c.ck_fwd.(k)
-                   ~dst:c.ck_fwd.(k + 1)
-             done)
-           seg_ids);
+      Pool.parallel_for pool ~lo:0 ~hi:nseg forward;
       for s = 1 to nseg - 1 do
         let bprev = if s = 1 then c.ck_fwd.(lo 1) else c.ck_cps.(s - 1) in
         Mat.mul_into c.ck_fwd.(lo (s + 1)) bprev ~dst:c.ck_cps.(s)
       done;
-      ignore
-        (Pool.map pool
-           (fun s ->
-             let sb = c.ck_segs.(s) in
-             let first = lo s and hi = lo (s + 1) in
-             let bprev = if s = 1 then c.ck_fwd.(lo 1) else c.ck_cps.(s - 1) in
-             for k = first + 1 to hi - 1 do
-               Mat.mul_into c.ck_fwd.(k) bprev ~dst:sb.sg_tmp;
-               Mat.copy_into ~src:sb.sg_tmp ~dst:c.ck_fwd.(k)
-             done;
-             if s > 1 then Mat.copy_into ~src:bprev ~dst:c.ck_fwd.(first);
-             if s = nseg - 1 then
-               Mat.copy_into ~src:c.ck_cps.(s) ~dst:c.ck_fwd.(slots))
-           tail_ids);
+      Pool.parallel_for pool ~lo:1 ~hi:nseg rebase;
       Kernels.trace_mul ~d:dim (Mat.data st.j_target_dag) 0
         (Mat.data c.ck_fwd.(slots))
         0 c.ck_tr 0;
       if eval_fidelity st t c.ck_tr 0 then begin
         c.ck_pw.(0) <- Float.pow beta1 (float_of_int t);
         c.ck_pw.(1) <- Float.pow beta2 (float_of_int t);
-        ignore
-          (Pool.map pool
-             (fun s ->
-               let sb = c.ck_segs.(s) in
-               let first = lo s and hi = lo (s + 1) in
-               Mat.copy_into ~src:c.ck_props.(hi - 1) ~dst:sb.sg_q;
-               for k = hi - 2 downto first do
-                 Mat.mul_into sb.sg_q c.ck_props.(k) ~dst:sb.sg_q2;
-                 let tmp = sb.sg_q in
-                 sb.sg_q <- sb.sg_q2;
-                 sb.sg_q2 <- tmp
-               done)
-             tail_ids);
+        Pool.parallel_for pool ~lo:1 ~hi:nseg suffix;
         Mat.copy_into ~src:st.j_target_dag ~dst:c.ck_ent.(nseg - 1);
         for s = nseg - 1 downto 1 do
           Mat.mul_into c.ck_ent.(s) c.ck_segs.(s).sg_q ~dst:c.ck_ent.(s - 1)
         done;
-        ignore
-          (Pool.map pool
-             (fun s ->
-               let sb = c.ck_segs.(s) in
-               let first = lo s and hi = lo (s + 1) in
-               sb.sg_acc.(0) <- 0.0;
-               sb.sg_acc.(1) <- 0.0;
-               Mat.copy_into ~src:c.ck_ent.(s) ~dst:sb.sg_b;
-               for k = hi - 1 downto first do
-                 Mat.mul_into c.ck_fwd.(k) sb.sg_b ~dst:sb.sg_m;
-                 Mat.mul_into c.ck_props.(k) sb.sg_m ~dst:sb.sg_a;
-                 for j = 0 to st.j_nc - 1 do
-                   Kernels.trace_mul ~d:dim (Mat.data sb.sg_a) 0
-                     (Mat.data st.j_ctrls.(j).Hardware.matrix)
-                     0 sb.sg_tr 0;
-                   adam_update st c.ck_pw j k sb.sg_tr 0 sb.sg_acc
-                 done;
-                 Mat.mul_into sb.sg_b c.ck_props.(k) ~dst:sb.sg_b2;
-                 let tmp = sb.sg_b in
-                 sb.sg_b <- sb.sg_b2;
-                 sb.sg_b2 <- tmp
-               done)
-             seg_ids);
+        Pool.parallel_for pool ~lo:0 ~hi:nseg gradient;
         st.j_acc.(0) <- 0.0;
         st.j_acc.(1) <- 0.0;
         for s = nseg - 1 downto 0 do
@@ -1021,10 +1048,8 @@ let optimize_batch ?pool ?workspace:ws_opt (jobs : batch_job array) =
       in
       match pool with
       | Some p when nchunks > 1 ->
-          ignore
-            (Pool.map p
-               (fun c -> run_lockstep bufs.(c) chunks.(c))
-               (List.init nchunks (fun c -> c)))
+          Pool.parallel_for p ~lo:0 ~hi:nchunks (fun c ->
+              run_lockstep bufs.(c) chunks.(c))
       | _ -> Array.iteri (fun c chunk -> run_lockstep bufs.(c) chunk) chunks
     end;
     (match big with

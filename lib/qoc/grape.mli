@@ -45,7 +45,16 @@ type options = {
   iterations : int;
   learning_rate : float;
   fidelity_target : float;
-  patience : int;  (** stop after this many non-improving iterations *)
+  patience : int;
+      (** window of the progress-aware stop: after iteration [t], stop
+          when twice the best-so-far gain of the last [patience]
+          iterations, carried over the iterations left, cannot reach
+          [fidelity_target] (see {!patience_stop}).  An attempt cut
+          this way could only have reached the target by gaining more
+          than twice as fast as it just did.  Compiling 50 seeded
+          2-qubit RZ+CZ circuits runs 489 attempts that reach 0.999;
+          the largest factor in place of 2 that would have cut one of
+          them is 1.09.  [patience >= iterations] never stops a run. *)
   init : float array array option;
       (** warm-start amplitudes [control][slot] from a cached
           near-neighbor pulse; resampled to the requested slot count
@@ -55,10 +64,29 @@ type options = {
 
 val default_options : options
 
-(** Why the ascent loop ended. *)
+(** Why the ascent loop ended: [Target_hit] when an iteration reaches
+    [fidelity_target]; [Patience] when {!patience_stop} finds the
+    recent gain too small to reach it before the budget (a plateau
+    always is); [Budget] when the last iteration ends below target. *)
 type stop_reason = Target_hit | Patience | Budget
 
 val stop_reason_name : stop_reason -> string
+
+(** [patience_stop ~target ~patience ~iterations best t]: the patience
+    decision after iteration [t] (1-based), where [best.(i)] is the
+    best-so-far fidelity after iteration [i + 1].  True iff
+    [patience < t < iterations] and
+    [best_t + 2 (best_t - best_(t-patience)) / patience (iterations - t)
+    < target].  A pure function of its arguments: the solver calls it
+    once per iteration without allocating, after the target check.
+    Exposed for tests. *)
+val patience_stop :
+  target:float ->
+  patience:int ->
+  iterations:int ->
+  float array ->
+  int ->
+  bool
 
 (** One point of the convergence series, recorded every iteration. *)
 type sample = {
@@ -108,10 +136,11 @@ val batch_job :
     and are kept across calls, so threading one workspace through a
     whole duration search (many attempts at varying slot counts) makes
     the solver inner loop allocation-free.  Measured as the marginal
-    minor words of one more iteration of one job: 12 at dims 2, 4 and
-    8 on the lockstep core, all of it the convergence [series] built
-    once per solve; 181 at dim 8 on the checkpoint core (256 slots),
-    its per-iteration pool fork/joins.
+    minor words of one more iteration of one job: 11.5 at dims 2, 4
+    and 8 on the lockstep core and at dim 8 on the checkpoint core (256
+    slots, 8 segments), all of it the convergence [series] built once
+    per solve (a 14-word sample per iteration, less the per-solve
+    arrays that leave the minor heap as the budget grows).
 
     [metrics] is the sink for wall-clock solver gauges
     ([grape.iters_per_s]); the pipeline passes the owning engine's

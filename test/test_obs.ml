@@ -167,6 +167,36 @@ let test_pool_merge_determinism () =
   in
   Alcotest.(check bool) "1 vs 4 domains identical" true (run 1 = run 4)
 
+(* Both pool fan-outs visit every index once, [map] keeps item order,
+   and a failure surfaces as the exception of the lowest failing index,
+   for any domain count. *)
+let test_pool_fan_outs () =
+  let module Pool = Epoc_parallel.Pool in
+  List.iter
+    (fun domains ->
+      let pool = Pool.create ~domains () in
+      let id = Printf.sprintf "domains=%d " domains in
+      let hits = Array.make 10 0 in
+      Pool.parallel_for pool ~lo:3 ~hi:10 (fun i -> hits.(i) <- hits.(i) + 1);
+      Alcotest.(check (array int))
+        (id ^ "each index in range once")
+        [| 0; 0; 0; 1; 1; 1; 1; 1; 1; 1 |]
+        hits;
+      Alcotest.(check (list int))
+        (id ^ "map keeps item order")
+        (List.init 9 (fun i -> i * i))
+        (Pool.map pool (fun i -> i * i) (List.init 9 Fun.id));
+      let first_failure =
+        match
+          Pool.parallel_for pool ~lo:0 ~hi:8 (fun i ->
+              if i = 5 || i = 2 then failwith (string_of_int i))
+        with
+        | () -> "none"
+        | exception Failure m -> m
+      in
+      Alcotest.(check string) (id ^ "lowest failing index") "2" first_failure)
+    [ 1; 4 ]
+
 (* --- prometheus exposition ------------------------------------------------ *)
 
 (* Golden exposition text covering all three instrument kinds, label
@@ -470,6 +500,7 @@ let () =
           Alcotest.test_case "instrument semantics" `Quick
             test_instrument_semantics;
           Alcotest.test_case "fork/absorb merge" `Quick test_fork_absorb;
+          Alcotest.test_case "pool fan-outs" `Quick test_pool_fan_outs;
           Alcotest.test_case "pool merge determinism" `Quick
             test_pool_merge_determinism;
           Alcotest.test_case "pipeline metrics domain-count determinism" `Quick

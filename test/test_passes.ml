@@ -108,6 +108,43 @@ let test_baseline_domain_determinism () =
       Alcotest.(check bool) (id ^ " library identical") true (ls1 = ls4))
     [ ("simon", "gate"); ("simon", "accqoc"); ("qaoa", "paqoc") ]
 
+(* GRAPE-mode golden: five seeded 2-qubit circuits (RZ on both qubits,
+   then CZ), compiled with [Config.grape], so every pulse comes from a
+   real duration search.  Latency is a whole number of slots and is
+   pinned exactly; ESP to 1e-12 relative.  A change that moves any probe
+   of a duration search moves these.  (rz q0, rz q1, latency, esp) *)
+let grape_golden =
+  [
+    (2.070589662680407, 1.8190757084959279, 49.0, 0.99802214289868296);
+    (3.8039531007115008, 2.2840030323721487, 54.5, 0.99791637345536133);
+    (1.6044052054102313, 3.2533867393041094, 50.5, 0.9979946841671713);
+    (5.9611856895453199, 1.0594273637125999, 54.0, 0.99792622766051531);
+    (0.4998151262785257, 1.0829174160014674, 52.5, 0.99796219706788702);
+  ]
+
+let test_grape_golden () =
+  List.iter
+    (fun (a, b, latency, esp) ->
+      let open Epoc_circuit in
+      let c =
+        Circuit.of_ops 2
+          [
+            { Circuit.gate = Gate.RZ a; qubits = [ 0 ] };
+            { Circuit.gate = Gate.RZ b; qubits = [ 1 ] };
+            { Circuit.gate = Gate.CZ; qubits = [ 0; 1 ] };
+          ]
+      in
+      let config = Config.grape in
+      let r =
+        Pipeline.compile
+          (Engine.session ~config ~name:"rzcz" (Engine.create ~config ()))
+          c
+      in
+      let id = Printf.sprintf "rz(%g) rz(%g) cz" a b in
+      Alcotest.(check (float 0.0)) (id ^ " latency") latency r.Pipeline.latency;
+      Alcotest.(check (float (1e-12 *. esp))) (id ^ " esp") esp r.Pipeline.esp)
+    grape_golden
+
 (* Trace structure: stage spans nest correctly and the top-level spans
    account for (almost) all of the measured compile time. *)
 let test_trace_structure () =
@@ -292,6 +329,8 @@ let () =
             test_golden_equivalence;
           Alcotest.test_case "baseline domain determinism" `Quick
             test_baseline_domain_determinism;
+          Alcotest.test_case "grape mode rz+cz searches" `Quick
+            test_grape_golden;
         ] );
       ( "trace",
         [

@@ -207,6 +207,177 @@ let test_grape_checkpoint_pool_invariance () =
   check_result_exact "domains=1 vs no pool" solo one;
   check_result_exact "domains=4 vs no pool" solo four
 
+(* --- patience stop ---------------------------------------------------------- *)
+
+(* The (iteration, reason) a fidelity series stops at under the solver's
+   per-iteration order: the target check, then [Grape.patience_stop] on
+   the best-so-far series; a series that reaches its last iteration ends
+   by budget. *)
+let stop_of_series ~target ~patience ~iterations (f : float array) =
+  let best = Array.make iterations 0.0 in
+  let rec go t b =
+    let fnow = f.(t - 1) in
+    let b = if fnow > b then fnow else b in
+    best.(t - 1) <- b;
+    if fnow >= target then (t, Grape.Target_hit)
+    else if Grape.patience_stop ~target ~patience ~iterations best t then
+      (t, Grape.Patience)
+    else if t = iterations then (t, Grape.Budget)
+    else go (t + 1) b
+  in
+  go 1 0.0
+
+let running_best f =
+  let b = ref 0.0 in
+  Array.map
+    (fun x ->
+      if x > !b then b := x;
+      !b)
+    f
+
+(* The doubled projection the rule compares with the target, as the
+   test states it: best_t + 2 (best_t - best_(t-p)) / p (n - t). *)
+let projection ~patience ~iterations best t =
+  let now = best.(t - 1) in
+  now
+  +. (2.0 *. (now -. best.(t - 1 - patience)) /. float_of_int patience
+     *. float_of_int (iterations - t))
+
+(* A seeded fidelity series of [n] values in (0, 1): runs of exact
+   plateaus (the same float repeated), real gains of 1e-7 to 1e-2 per
+   iteration, and transient dips below the current level. *)
+let gen_series rs n =
+  let f = Array.make n 0.0 in
+  let level = ref (0.3 +. Random.State.float rs 0.6) in
+  let i = ref 0 in
+  while !i < n do
+    let len = 1 + Random.State.int rs 40 in
+    let kind = Random.State.int rs 3 in
+    let rate = 10.0 ** -.(2.0 +. Random.State.float rs 5.0) in
+    for _ = 1 to len do
+      if !i < n then begin
+        f.(!i) <-
+          (match kind with
+          | 0 -> !level
+          | 1 ->
+              level := Float.min 0.999999 (!level +. rate);
+              !level
+          | _ -> Float.max 1e-6 (!level -. rate));
+        incr i
+      end
+    done
+  done;
+  f
+
+(* (seed, patience, iterations, target) *)
+let arb_stop_case =
+  QCheck.make
+    ~print:(fun (seed, p, n, target) ->
+      Printf.sprintf "seed=%d patience=%d iterations=%d target=%.17g" seed p n
+        target)
+    QCheck.Gen.(
+      quad (int_bound 1_000_000) (int_range 1 80) (int_range 1 300)
+        (float_range 0.9 0.9999))
+
+(* The rule, point by point: it stops exactly when patience < t <
+   iterations and the doubled projection falls short of the target.  So
+   no stop in the first window, none on the last iteration (that
+   attempt keeps [Budget]), none while the projection reaches the
+   target, and none at all when [patience >= iterations]. *)
+let prop_patience_rule =
+  QCheck.Test.make ~name:"patience stop is the doubled-projection rule"
+    ~count:300 arb_stop_case (fun (seed, patience, iterations, target) ->
+      let best =
+        running_best (gen_series (Random.State.make [| seed |]) iterations)
+      in
+      List.for_all
+        (fun t ->
+          Grape.patience_stop ~target ~patience ~iterations best t
+          = (t > patience && t < iterations
+            && projection ~patience ~iterations best t < target))
+        (List.init iterations (fun i -> i + 1)))
+
+(* +-1 ulp on every fidelity of a series moves neither the stop
+   iteration nor the stop reason.  Series with a decision up to the stop
+   within 1e-9 of the target are discarded: at the threshold itself any
+   rounding flips a comparison.  A counter of iterations without strict
+   improvement fails this on plateaus: one ulp up restarts it. *)
+let prop_ulp_stable =
+  QCheck.Test.make ~name:"stop survives +-1 ulp on every fidelity" ~count:300
+    (QCheck.pair arb_stop_case QCheck.(int_bound 1_000_000))
+    (fun ((seed, patience, iterations, target), pseed) ->
+      let f = gen_series (Random.State.make [| seed |]) iterations in
+      let t_stop, reason = stop_of_series ~target ~patience ~iterations f in
+      let best = running_best f in
+      let margin = 1e-9 in
+      let clear = ref true in
+      for t = 1 to t_stop do
+        if Float.abs (f.(t - 1) -. target) <= margin then clear := false;
+        if
+          t > patience && t < iterations
+          && Float.abs (projection ~patience ~iterations best t -. target)
+             <= margin
+        then clear := false
+      done;
+      QCheck.assume !clear;
+      let prs = Random.State.make [| pseed |] in
+      let g =
+        Array.map
+          (fun x -> if Random.State.bool prs then Float.succ x else Float.pred x)
+          f
+      in
+      stop_of_series ~target ~patience ~iterations g = (t_stop, reason))
+
+let test_grape_patience_truncates () =
+  (* the infeasible X solve of [too short fails]: the rule cuts it well
+     before the budget, and the cut run is the uncut run's prefix *)
+  let hw = Hardware.make 1 in
+  let target = Gate.matrix Gate.X in
+  let d = Grape.default_options in
+  let cut = optimize hw ~target ~slots:4 in
+  let full =
+    optimize
+      ~options:{ d with Grape.patience = d.Grape.iterations }
+      hw ~target ~slots:4
+  in
+  Alcotest.(check string) "cut by patience" "patience"
+    (Grape.stop_reason_name cut.Grape.stop);
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped at %d < %d" cut.Grape.iterations d.Grape.iterations)
+    true
+    (cut.Grape.iterations < d.Grape.iterations);
+  Alcotest.(check string) "uncut run ends by budget" "budget"
+    (Grape.stop_reason_name full.Grape.stop);
+  Alcotest.(check int) "uncut run takes every iteration" d.Grape.iterations
+    full.Grape.iterations;
+  (* every sample but the last is bit-identical; the last one is the
+     stop sample (no gradient), at the same iteration and fidelity *)
+  let n = List.length cut.Grape.series in
+  let head = List.filteri (fun i _ -> i < n) full.Grape.series in
+  List.iteri
+    (fun i ((a : Grape.sample), (b : Grape.sample)) ->
+      if i < n - 1 then
+        Alcotest.(check bool)
+          (Printf.sprintf "sample %d bit-identical" a.Grape.it)
+          true (a = b)
+      else begin
+        Alcotest.(check int) "stop sample iteration" b.Grape.it a.Grape.it;
+        Alcotest.(check (float 0.0))
+          "stop sample fidelity" b.Grape.s_fidelity a.Grape.s_fidelity
+      end)
+    (List.combine cut.Grape.series head);
+  (* the solver stopped where its own series says the rule stops *)
+  let fids =
+    Array.of_list (List.map (fun s -> s.Grape.s_fidelity) full.Grape.series)
+  in
+  let t, reason =
+    stop_of_series ~target:d.Grape.fidelity_target ~patience:d.Grape.patience
+      ~iterations:d.Grape.iterations fids
+  in
+  Alcotest.(check int) "series rule agrees on the iteration" cut.Grape.iterations t;
+  Alcotest.(check string) "series rule agrees on the reason" "patience"
+    (Grape.stop_reason_name reason)
+
 (* --- latency --------------------------------------------------------------- *)
 
 let test_latency_x_speed_limit () =
@@ -419,7 +590,12 @@ let () =
             test_grape_batch_matches_solo;
           Alcotest.test_case "checkpoint pool invariance" `Quick
             test_grape_checkpoint_pool_invariance;
+          Alcotest.test_case "patience truncates an infeasible solve" `Quick
+            test_grape_patience_truncates;
         ] );
+      ( "patience",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_patience_rule; prop_ulp_stable ] );
       ( "latency",
         [
           Alcotest.test_case "x speed limit" `Quick test_latency_x_speed_limit;
