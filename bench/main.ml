@@ -728,10 +728,11 @@ let bench_json () =
       (Epoc_benchmarks.Benchmarks.table1 ())
   in
   (* GRAPE throughput: iterations per second on a 1-qubit 24-slot solve,
-     first as sequential solo calls (the legacy shape), then the same
-     solves as lockstep batches sharing one workspace — the batch number
-     is what the regression gate tracks, since pulse resolution feeds
-     whole equal-dimension groups to [optimize_batch] *)
+     first as sequential solo calls, then the same solves as 20-job
+     [optimize_batch] calls sharing one workspace (one chunk per pool
+     domain, each chunk's jobs solved one after another) — the batch
+     number is what the regression gate tracks, since pulse resolution
+     feeds whole equal-dimension groups to [optimize_batch] *)
   let hw1 = Epoc_qoc.Hardware.make 1 in
   let grape_target = Gate.matrix Gate.X in
   let grape_reps = 20 in

@@ -285,38 +285,6 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
       result)
     states
 
-(* Pulse duration + fidelity (+ control amplitudes, in Grape mode) for
-   one regrouped unitary: a batch of one (see {!compute_pulse_batch}
-   for the Grape-mode resilience policy).  [init] seeds the GRAPE
-   ascent with cached near-neighbor amplitudes (a persistent-store warm
-   start). *)
-let compute_pulse ?metrics ?init ?fault ?(budget = Epoc_budget.unlimited)
-    ?(site = "block") ?(seed = 0) (config : Config.t) (hw_block : Hardware.t)
-    ~(vug_circuit : Circuit.t) (u : Mat.t) : Ir.job_result =
-  match config.Config.qoc_mode with
-  | Config.Estimate ->
-      let record f = Option.iter f metrics in
-      let e = Latency.estimate ~unitary:u hw_block vug_circuit in
-      record (fun m -> Metrics.incr m "qoc.estimates");
-      let result =
-        {
-          Ir.jr_duration = e.Latency.est_duration;
-          jr_fidelity = e.Latency.est_fidelity;
-          jr_pulse = None;
-          jr_retries = 0;
-          jr_fallback = false;
-          jr_error = None;
-        }
-      in
-      record (fun m ->
-          Metrics.observe m "pulse.duration_ns" result.Ir.jr_duration);
-      result
-  | Config.Grape ->
-      List.hd
-        (compute_pulse_batch ?metrics ?fault ~budget config hw_block
-           [ { pr_u = u; pr_vug = vug_circuit; pr_init = init;
-               pr_site = site; pr_seed = seed } ])
-
 (* Greedy nearest-neighbor chain over the global-phase-invariant
    Hilbert-Schmidt distance: AccQOC's similarity ordering.  Start at
    index 0, repeatedly hop to the closest unvisited unitary (ties
@@ -520,8 +488,8 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
          different coupling subgraphs have different Hamiltonians and
          must not share a batch) in first-occurrence order, and resolve
          each group as one batched computation: every retry round runs
-         one lockstep GRAPE batch over the group, chunked across [pool]
-         inside the solver.  Without a device the context is always ""
+         one GRAPE batch over the group, chunked across [pool] inside
+         the solver.  Without a device the context is always ""
          and the grouping is by width alone.  Grouping and batching are
          value-transparent (each job's solve is bit-identical to a solo
          run), so results and telemetry match the per-job fan-out this
@@ -602,13 +570,21 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
       let computed =
         Pool.map pool
           (fun (j : Ir.pulse_job) ->
+            let e = Latency.estimate ~unitary:j.Ir.ju (hw_of j) j.Ir.jlocal in
             (* telemetry recording is commutative (counters + histogram
                observations), so sharing the registry across workers
                keeps the determinism contract *)
-            compute_pulse ?metrics ?init:j.Ir.jinit ?fault ~budget
-              ~site:(Printf.sprintf "block%d" j.Ir.jid)
-              ~seed:j.Ir.jid config (hw_of j)
-              ~vug_circuit:j.Ir.jlocal j.Ir.ju)
+            record (fun m ->
+                Metrics.incr m "qoc.estimates";
+                Metrics.observe m "pulse.duration_ns" e.Latency.est_duration);
+            {
+              Ir.jr_duration = e.Latency.est_duration;
+              jr_fidelity = e.Latency.est_fidelity;
+              jr_pulse = None;
+              jr_retries = 0;
+              jr_fallback = false;
+              jr_error = None;
+            })
           reps
       in
       List.iter2

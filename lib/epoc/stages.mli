@@ -39,25 +39,6 @@ val gate_pulse : Hardware.t -> Gate.t -> float * float
     path of the per-gate pulses, product of their fidelities. *)
 val gate_fallback : Hardware.t -> Circuit.t -> float * float
 
-(** Pulse duration + fidelity (+ control amplitudes, in Grape mode) for
-    one regrouped unitary on a block hardware model.  [init] seeds the
-    GRAPE ascent with cached near-neighbor amplitudes; [site] and
-    [seed] key fault matching and retry jitter.  Recoverable solver
-    failures retry up to [config.max_retries] times, then degrade to
-    gate-pulse playback ([jr_fallback = true]). *)
-val compute_pulse :
-  ?metrics:Metrics.t ->
-  ?init:float array array ->
-  ?fault:Epoc_fault.spec ->
-  ?budget:Epoc_budget.t ->
-  ?site:string ->
-  ?seed:int ->
-  Config.t ->
-  Hardware.t ->
-  vug_circuit:Circuit.t ->
-  Mat.t ->
-  Ir.job_result
-
 (** Greedy nearest-neighbor visit order over the global-phase-invariant
     Hilbert-Schmidt distance (AccQOC's similarity ordering), starting at
     index 0, ties toward the lowest index.  Pure and sequential. *)

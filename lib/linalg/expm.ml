@@ -5,9 +5,7 @@
    rad/ns), so after scaling by 2^-s the degree-12 Taylor polynomial
    ([Kernels.expi_at], evaluated by Paterson-Stockmeyer in 5 products)
    is accurate to machine precision; the 2x2 case has an exact closed
-   form ([Kernels.expi2_at]).  [Batch.expi_hermitian_into] runs the same
-   two kernels on its slices, so solo and batched propagators are
-   bit-identical by construction.  The Hermitian path in [Eig] is the
+   form ([Kernels.expi2_at]).  The Hermitian path in [Eig] is the
    reference implementation used in tests.
 
    [expi_hermitian_into] runs entirely on a caller-provided [scratch] (the

@@ -2,9 +2,6 @@
     squaring around a degree-12 Taylor polynomial evaluated by
     Paterson–Stockmeyer in 5 matrix products ({!Kernels.expi_at}), and
     the exact closed form at 2x2 ({!Kernels.expi2_at}).
-    {!Batch.expi_hermitian_into} runs the same kernels on its slices, so
-    solo and batched GRAPE propagators are bit-identical by
-    construction.
 
     {!expi_hermitian_into} runs entirely on a caller-provided {!scratch},
     so the GRAPE inner loop — one exponential per slot per iteration —

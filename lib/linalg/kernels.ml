@@ -1,12 +1,10 @@
 (* Raw kernels over interleaved (re, im) float arrays at explicit offsets.
 
    Every dense complex kernel in this library — [Mat]'s destination-passing
-   ops, the matrix exponential and [Batch]'s multi-matrix ops — bottoms out
-   here, on the same loop nests over the same flat storage.  That is the
-   load-bearing property for the GRAPE batching contract: a batched op on
-   matrix slice [i] executes the exact floating-point operation sequence of
-   the corresponding single-matrix op, so batched and unbatched solves are
-   bit-identical by construction rather than by careful re-verification.
+   ops and the matrix exponential — bottoms out here, on the same loop
+   nests over the same flat storage, so a solver that calls a kernel on a
+   matrix's raw storage runs the exact floating-point operation sequence
+   of the [Mat] op.
 
    Contract: callers validate shapes and offsets; these kernels use
    unchecked accesses and assume every index below is in bounds.  A matrix
@@ -126,38 +124,12 @@ let dotc ~len (a : float array) aoff (b : float array) boff
   out.(oidx) <- !racc;
   out.(oidx + 1) <- !iacc
 
-(* tr(A) into [out.(oidx)], [out.(oidx + 1)]. *)
-let trace ~d (a : float array) aoff (out : float array) oidx =
-  out.(oidx) <- 0.0;
-  out.(oidx + 1) <- 0.0;
-  for r = 0 to d - 1 do
-    let i = aoff + (2 * ((r * d) + r)) in
-    out.(oidx) <- out.(oidx) +. Array.unsafe_get a i;
-    out.(oidx + 1) <- out.(oidx + 1) +. Array.unsafe_get a (i + 1)
-  done
-
-(* Frobenius norm of [len] complex entries. *)
-let frobenius ~len (a : float array) aoff =
-  let acc = ref 0.0 in
-  for i = aoff to aoff + (2 * len) - 1 do
-    let x = Array.unsafe_get a i in
-    acc := !acc +. (x *. x)
-  done;
-  Stdlib.sqrt !acc
-
-(* dst <- dst + s * src over [len] complex entries, real scalar [s].
-   Aliasing (dst == src at the same offset) is harmless. *)
-let axpy_re ~len s (src : float array) soff (dst : float array) doff =
-  for i = 0 to (2 * len) - 1 do
-    Array.unsafe_set dst (doff + i)
-      (Array.unsafe_get dst (doff + i)
-      +. (s *. Array.unsafe_get src (soff + i)))
-  done
-
-(* As [axpy_re] with the scalar read from [ss.(si)].  Without flambda a
-   non-inlined call boxes every float argument; the batched GRAPE loop
-   calls this once per (control, slot, iteration), so the scalar travels
-   through an unboxed float-array slot instead. *)
+(* dst <- dst + s * src over [len] complex entries, with the real scalar
+   s read from [ss.(si)].  Without flambda a non-inlined call boxes
+   every float argument; GRAPE's Hamiltonian assembly calls this once
+   per (control, slot, iteration), so the scalar travels through an
+   unboxed float-array slot instead.  Aliasing (dst == src at the same
+   offset) is harmless. *)
 let axpy_re_at ~len (ss : float array) si (src : float array) soff
     (dst : float array) doff =
   let s = Array.unsafe_get ss si in
@@ -165,19 +137,6 @@ let axpy_re_at ~len (ss : float array) si (src : float array) soff
     Array.unsafe_set dst (doff + i)
       (Array.unsafe_get dst (doff + i)
       +. (s *. Array.unsafe_get src (soff + i)))
-  done
-
-(* dst <- s * src over [len] complex entries, real scalar [s]. *)
-let scale_re ~len s (src : float array) soff (dst : float array) doff =
-  for i = 0 to (2 * len) - 1 do
-    Array.unsafe_set dst (doff + i) (s *. Array.unsafe_get src (soff + i))
-  done
-
-(* Write the [d x d] identity. *)
-let set_identity ~d (dst : float array) doff =
-  Array.fill dst doff (2 * d * d) 0.0;
-  for r = 0 to d - 1 do
-    dst.(doff + (2 * ((r * d) + r))) <- 1.0
   done
 
 (* dst <- exp(-i * t * H) for a Hermitian 2x2 H, in closed form, with the

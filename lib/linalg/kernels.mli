@@ -1,15 +1,13 @@
 (** Raw offset-based kernels over interleaved (re, im) float arrays.
 
     This is the single implementation point for the dense complex
-    arithmetic in this library: {!Mat}'s destination-passing ops, the
-    matrix exponential and {!Batch}'s multi-matrix ops all call these
-    kernels on their flat storage.  Because a batched op on matrix slice
-    [i] runs the exact floating-point operation sequence of the
-    single-matrix op, batched and unbatched GRAPE solves are bit-identical
-    by construction.
+    arithmetic in this library: {!Mat}'s destination-passing ops and the
+    matrix exponential call these kernels on their flat storage, and
+    solvers (GRAPE, instantiation) call them on {!Mat.data} where a
+    fused op saves a copy or a boxed scalar.
 
     Unsafe layer: these functions perform {e no} bounds or shape checks —
-    callers ([Mat], [Batch], [Expm]) validate and raise
+    callers ([Mat], [Expm], the solvers) validate and raise
     [Invalid_argument] before descending here.  A matrix of [r] rows and
     [c] cols occupies [2 * r * c] consecutive floats at its offset,
     row-major, (re, im) interleaved. *)
@@ -49,30 +47,13 @@ val trace_mul :
 val dotc :
   len:int -> float array -> int -> float array -> int -> float array -> int -> unit
 
-(** [trace ~d a aoff out oidx] writes tr(A) into [out.(oidx)],
-    [out.(oidx + 1)]. *)
-val trace : d:int -> float array -> int -> float array -> int -> unit
-
-(** Frobenius norm of [len] complex entries starting at the offset. *)
-val frobenius : len:int -> float array -> int -> float
-
-(** [axpy_re ~len s src soff dst doff]: dst += s·src over [len] complex
-    entries, real scalar [s].  Full aliasing allowed. *)
-val axpy_re : len:int -> float -> float array -> int -> float array -> int -> unit
-
-(** [axpy_re_at ~len ss si src soff dst doff]: as {!axpy_re} with the
-    scalar read from [ss.(si)].  Hot-loop variant: without flambda every
-    float argument of a non-inlined call is boxed, so per-call scalars
-    travel through unboxed float-array slots instead. *)
+(** [axpy_re_at ~len ss si src soff dst doff]: dst += s·src over [len]
+    complex entries, with the real scalar [s] read from [ss.(si)]: without
+    flambda every float argument of a non-inlined call is boxed, so
+    per-call scalars travel through unboxed float-array slots instead.
+    Full aliasing allowed. *)
 val axpy_re_at :
   len:int -> float array -> int -> float array -> int -> float array -> int -> unit
-
-(** [scale_re ~len s src soff dst doff]: dst <- s·src over [len] complex
-    entries, real scalar [s].  Full aliasing allowed. *)
-val scale_re : len:int -> float -> float array -> int -> float array -> int -> unit
-
-(** Write the [d x d] identity at the offset. *)
-val set_identity : d:int -> float array -> int -> unit
 
 (** [expi2_at h hoff ts ti dst doff] writes exp(-i·t·H) for a Hermitian
     2x2 [H] in closed form (Pauli decomposition; exact up to rounding),
@@ -91,8 +72,8 @@ val expi_scratch : int -> int
     around the degree-12 Taylor polynomial, evaluated by
     Paterson–Stockmeyer in 5 products.  Every entry of [H] is read.
     [ws] holds at least [expi_scratch d] floats and must not overlap
-    [dst]; [dst] may alias [h].  Allocates nothing.  {!Expm} and {!Batch}
-    run it at every dim above 2. *)
+    [dst]; [dst] may alias [h].  Allocates nothing.  {!Expm} runs it at
+    every dim above 2. *)
 val expi_at :
   d:int ->
   float array ->

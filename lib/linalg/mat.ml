@@ -30,8 +30,8 @@ let rows m = m.rows
 let cols m = m.cols
 
 (* Raw storage view; see the .mli for the (re, im) interleaving contract.
-   [Batch] and [Expm] use it to run fused [Kernels] ops across [Mat] and
-   batch-slice operands without copies. *)
+   [Expm] and the solvers use it to run fused [Kernels] ops on [Mat]
+   operands without copies. *)
 let data m = m.data
 
 let create rows cols =

@@ -30,10 +30,9 @@ val cols : t -> int
 
 val data : t -> float array
 (** Raw storage: [2 * rows * cols] floats, row-major, (re, im)
-    interleaved.  Exposed so {!Batch} and {!Expm} can run fused
-    {!Kernels} ops across [Mat] and batch-slice operands; mutating it
-    bypasses every shape check, so treat it as read-only outside
-    lib/linalg. *)
+    interleaved.  Exposed so {!Expm} and the solvers can run fused
+    {!Kernels} ops on [Mat] operands; mutating it bypasses every shape
+    check, so treat it as read-only outside lib/linalg. *)
 
 val create : int -> int -> t
 (** [create rows cols] is the all-zero matrix. *)

@@ -10,14 +10,12 @@
     deadlines and injected {!Epoc_fault} faults to typed
     {!Epoc_error.t} values.
 
-    {!optimize_batch} advances many independent equal-dimension solves
-    in lockstep over one contiguous {!Epoc_linalg.Batch} per time
-    slice, and routes large solves (see {!segments}) to a
-    checkpoint-parallel core that splits the slot chain over a
-    {!Epoc_parallel.Pool}.  Both paths are bit-identical to the
-    single-job solver for any pool size: a job's result depends only on
-    the job, never on which batch it rides in or how many domains run
-    it. *)
+    {!optimize_batch} solves many independent equal-dimension jobs,
+    one chunk of jobs per domain of a {!Epoc_parallel.Pool}, each job on
+    the one solver core: its slot chain splits into {!segments}, and a
+    solve of more than one segment sweeps them over the pool.  A job's
+    result depends only on the job, never on which batch it rides in or
+    how many domains run it. *)
 
 open Epoc_linalg
 
@@ -132,15 +130,17 @@ val batch_job :
   slots:int ->
   batch_job
 
-(** Reusable matrix scratch for batched solves.  Buffers grow on demand
-    and are kept across calls, so threading one workspace through a
-    whole duration search (many attempts at varying slot counts) makes
-    the solver inner loop allocation-free.  Measured as the marginal
-    minor words of one more iteration of one job: 11.5 at dims 2, 4
-    and 8 on the lockstep core and at dim 8 on the checkpoint core (256
-    slots, 8 segments), all of it the convergence [series] built once
-    per solve (a 14-word sample per iteration, less the per-solve
-    arrays that leave the minor heap as the budget grows).
+(** Reusable matrix scratch for solves, one set of buffers per chunk of
+    {!optimize_batch}.  Buffers grow on demand and are kept across
+    calls, so threading one workspace through a whole duration search
+    (many attempts at varying slot counts) makes the solver inner loop
+    allocation-free.  Measured on one domain as the minor words of a
+    600-iteration solve less those of a 300-iteration solve, per
+    iteration: 14.00 at 1 qubit/24 slots, 2/112, 3/112 and 3/256 (8
+    segments), exactly one convergence [series] sample (a 4-field record
+    with three boxed floats and a cons cell).  At both budgets every
+    per-solve array exceeds the minor heap's largest block (256 words),
+    so only the loop's own allocation differs.
 
     [metrics] is the sink for wall-clock solver gauges
     ([grape.iters_per_s]); the pipeline passes the owning engine's
@@ -151,15 +151,18 @@ type workspace
 
 val workspace : ?metrics:Epoc_obs.Metrics.t -> unit -> workspace
 
-(** Number of checkpoint segments a [(dim, slots)] solve would split
-    into; [1] means it takes the lockstep core.  A pure function of its
-    arguments — never of pool size — so the floating-point reduction
-    order is pinned for any [EPOC_JOBS].  Exposed for tests. *)
+(** Number of checkpoint segments a [(dim, slots)] solve splits into.
+    A one-segment solve calls its sweeps directly; a larger one fans
+    them out over the pool.  A pure function of its arguments — never
+    of pool size — so the floating-point reduction order is pinned for
+    any [EPOC_JOBS].  Exposed for tests. *)
 val segments : dim:int -> slots:int -> int
 
-(** Solve every job, batching equal-sized work into contiguous
-    multi-matrix kernel calls and fanning both batch chunks and
-    intra-solve segment sweeps out over [pool] (omitted = sequential).
+(** Solve every job.  The jobs split into [min jobs domains] chunks
+    fanned out over [pool] (omitted = sequential); each chunk runs its
+    jobs one after another on its own workspace buffers, and a
+    segmented job sweeps its segments over whatever domains the chunk
+    fan-out leaves free (none, as a plain loop, when it holds them all).
     Results are positionally parallel to [jobs]; each is exactly what
     {!optimize_r} would have returned for that job alone — per-job
     errors land in their slot instead of aborting the batch.

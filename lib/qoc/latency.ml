@@ -204,7 +204,7 @@ let ss_step ss slots (res : (Grape.result, Epoc_error.t) result) =
           if ok then ss_enter_bisect ss lo mid r
           else ss_enter_bisect ss mid hi best)
 
-(* Run all searches to completion, one lockstep GRAPE batch per round.
+(* Run all searches to completion, one GRAPE batch per round.
    All jobs must share a Hilbert-space dimension (they come from one
    hardware group); [pool]/[workspace] are execution-only knobs threaded
    into every batched solve. *)

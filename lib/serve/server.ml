@@ -18,9 +18,10 @@
    job resolves exactly like a one-shot run and concurrent jobs cannot
    observe each other's in-flight entries (which would break the
    determinism contract).  Cross-request reuse flows through the
-   engine-owned persistent store — a repeated job hits the store
-   (cache.hits > 0) instead of re-running GRAPE — and each completed
-   job's library is absorbed into the engine's shared one afterwards.
+   engine-owned persistent store: a repeated job hits the store
+   (cache.hits > 0) instead of re-running GRAPE.  A job's private
+   library is dropped with its response; the engine's shared library is
+   never read here, so absorbing into it would only grow it.
 
    Graceful shutdown: on SIGTERM/SIGINT admission stops (late jobs get
    a "shutting down" error response), queued and in-flight jobs drain —
@@ -167,11 +168,6 @@ let compile st (p : pending) ~request_id ~queue_wait_s ~worker ~drained =
           Protocol.error_response ~jid:p.jid ~request_id ~queue_wait_s ~worker
             ~drained (Printexc.to_string e)
       | result ->
-          let shared = Epoc.Engine.library st.engine in
-          if
-            Library.match_global_phase shared
-            = Library.match_global_phase library
-          then Library.absorb shared library;
           M.absorb st.runs result.Epoc.Pipeline.metrics;
           Protocol.result_response ~jid:p.jid ~queue_wait_s ~worker ~drained
             result))

@@ -473,149 +473,6 @@ let kernel_cases =
         test_mix_rows_matches_reference;
     ]
 
-(* --- Batch ≡ Mat bit-identity ------------------------------------------- *)
-
-(* Batch's contract is stronger than approximate agreement: every batched
-   op must be bit-identical, slice by slice, to the corresponding [Mat]
-   op (GRAPE's batched/unbatched determinism rests on it).  So these
-   properties compare raw float arrays with structural [=], never an
-   epsilon. *)
-
-let mat_exact a b = Mat.data a = Mat.data b
-
-let seeded_mats seed b n = Array.init b (fun i -> seeded_matrix (seed + i) n)
-
-let seeded_mask seed b =
-  let st = Random.State.make [| 97; seed; b |] in
-  Array.init b (fun _ -> Random.State.bool st)
-
-let seeded_floats seed b =
-  let st = Random.State.make [| 53; seed; b |] in
-  Array.init b (fun _ -> Random.State.float st 2.0 -. 1.0)
-
-let gen_batch_shape =
-  QCheck.Gen.(triple (int_range 2 6) (int_range 1 5) (int_bound 1_000_000))
-
-let arb_batch_shape =
-  QCheck.make
-    ~print:(fun (d, b, s) -> Printf.sprintf "dim %d batch %d seed %d" d b s)
-    gen_batch_shape
-
-let prop_batch_mul_bit_identical =
-  QCheck.Test.make ~name:"Batch.mul_into = Mat.mul_into bit-for-bit" ~count:60
-    arb_batch_shape (fun (d, b, seed) ->
-      let am = seeded_mats seed b d and xm = seeded_mats (seed + 100) b d in
-      let sentinel = seeded_mats (seed + 200) b d in
-      let a = Batch.of_mats am and x = Batch.of_mats xm in
-      let dst = Batch.of_mats sentinel in
-      let mask = seeded_mask seed b in
-      Batch.mul_into ~mask a x ~dst;
-      Array.for_all Fun.id
-        (Array.init b (fun i ->
-             if mask.(i) then begin
-               let r = Mat.create d d in
-               Mat.mul_into am.(i) xm.(i) ~dst:r;
-               mat_exact r (Batch.get_mat dst i)
-             end
-             else mat_exact sentinel.(i) (Batch.get_mat dst i))))
-
-let prop_batch_axpy_bit_identical =
-  QCheck.Test.make ~name:"Batch.add_scaled_re_into = Mat axpy bit-for-bit"
-    ~count:60 arb_batch_shape (fun (d, b, seed) ->
-      let base = seeded_mats seed b d and ms = seeded_mats (seed + 100) b d in
-      let coeffs = seeded_floats seed b in
-      let dst = Batch.of_mats base in
-      let mask = seeded_mask seed b in
-      Batch.add_scaled_re_into ~mask coeffs ms ~dst;
-      Array.for_all Fun.id
-        (Array.init b (fun i ->
-             let r = Mat.copy base.(i) in
-             if mask.(i) then Mat.add_scaled_re_into coeffs.(i) ms.(i) ~dst:r;
-             mat_exact r (Batch.get_mat dst i))))
-
-let prop_batch_expi_bit_identical =
-  (* dim 2 takes the closed form, dim > 2 the series on the slice in
-     place; half the draws are dim 8, the smallest checkpoint-core dim. *)
-  QCheck.Test.make ~name:"Batch.expi_hermitian_into = Expm bit-for-bit"
-    ~count:40
-    (QCheck.make
-       ~print:(fun (d, b, s) -> Printf.sprintf "dim %d batch %d seed %d" d b s)
-       QCheck.Gen.(
-         triple
-           (frequency [ (1, int_range 2 6); (1, return 8) ])
-           (int_range 1 5) (int_bound 1_000_000)))
-    (fun (d, b, seed) ->
-      let hm = Array.init b (fun i -> seeded_hermitian (seed + i) d) in
-      let ts = seeded_floats (seed + 300) b in
-      let h = Batch.of_mats hm and dst = Batch.create b d in
-      let s = Batch.scratch d in
-      let mask = seeded_mask seed b in
-      Batch.expi_hermitian_into ~mask s h ts ~dst;
-      let es = Expm.scratch d in
-      Array.for_all Fun.id
-        (Array.init b (fun i ->
-             let r = Mat.create d d in
-             if mask.(i) then Expm.expi_hermitian_into es hm.(i) ts.(i) ~dst:r;
-             mat_exact r (Batch.get_mat dst i))))
-
-let prop_batch_trace_mul_bit_identical =
-  QCheck.Test.make ~name:"Batch.trace_mul_right = Mat.trace_mul bit-for-bit"
-    ~count:60 arb_batch_shape (fun (d, b, seed) ->
-      let tm = seeded_mats seed b d and ms = seeded_mats (seed + 100) b d in
-      let t = Batch.of_mats tm in
-      let out = Array.make (2 * b) 42.0 in
-      let mask = seeded_mask seed b in
-      Batch.trace_mul_right ~mask t ms ~out;
-      Array.for_all Fun.id
-        (Array.init b (fun i ->
-             if mask.(i) then begin
-               let z = Mat.trace_mul tm.(i) ms.(i) in
-               out.(2 * i) = Cx.re z && out.((2 * i) + 1) = Cx.im z
-             end
-             else out.(2 * i) = 42.0 && out.((2 * i) + 1) = 42.0)))
-
-let prop_batch_roundtrip =
-  QCheck.Test.make ~name:"Batch of_mats/get_mat round-trips bit-for-bit"
-    ~count:40 arb_batch_shape (fun (d, b, seed) ->
-      let ms = seeded_mats seed b d in
-      let t = Batch.of_mats ms in
-      Array.for_all Fun.id
-        (Array.init b (fun i -> mat_exact ms.(i) (Batch.get_mat t i))))
-
-let test_batch_contracts () =
-  let ms = seeded_mats 71 3 4 in
-  let a = Batch.of_mats ms and x = Batch.of_mats ms in
-  let other = Batch.create 2 4 in
-  Alcotest.check_raises "mask length"
-    (Invalid_argument "Batch.set_identity: mask length does not match batch size")
-    (fun () -> Batch.set_identity ~mask:(Array.make 4 true) a);
-  Alcotest.check_raises "shape mismatch"
-    (Invalid_argument "Batch.mul_into: batch shape mismatch") (fun () ->
-      Batch.mul_into a x ~dst:other);
-  Alcotest.check_raises "mul aliasing"
-    (Invalid_argument "Batch.mul_into: dst aliases an input") (fun () ->
-      Batch.mul_into a x ~dst:a);
-  Alcotest.check_raises "out length"
-    (Invalid_argument "Batch.trace: out length must be 2 * batch size")
-    (fun () -> Batch.trace a ~out:(Array.make 5 0.0));
-  Alcotest.check_raises "mats length"
-    (Invalid_argument "Batch.set_from_mats: matrix array length does not match batch size")
-    (fun () -> Batch.set_from_mats (seeded_mats 71 2 4) ~dst:a);
-  Alcotest.check_raises "empty of_mats"
-    (Invalid_argument "Batch.of_mats: empty") (fun () ->
-      ignore (Batch.of_mats [||]))
-
-let batch_cases =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      prop_batch_roundtrip;
-      prop_batch_mul_bit_identical;
-      prop_batch_axpy_bit_identical;
-      prop_batch_expi_bit_identical;
-      prop_batch_trace_mul_bit_identical;
-    ]
-  @ [ Alcotest.test_case "argument contracts" `Quick test_batch_contracts ]
-
 let () =
   Alcotest.run "linalg"
     [
@@ -656,6 +513,5 @@ let () =
           Alcotest.test_case "gauss ops replay" `Quick test_gf2_gauss_ops_replay;
         ] );
       ("kernels", kernel_cases);
-      ("batch", batch_cases);
       ("properties", qcheck_cases);
     ]
