@@ -728,11 +728,11 @@ let bench_json () =
       (Epoc_benchmarks.Benchmarks.table1 ())
   in
   (* GRAPE throughput: iterations per second on a 1-qubit 24-slot solve,
-     first as sequential solo calls, then the same solves as 20-job
-     [optimize_batch] calls sharing one workspace (one chunk per pool
-     domain, each chunk's jobs solved one after another) — the batch
-     number is what the regression gate tracks, since pulse resolution
-     feeds whole equal-dimension groups to [optimize_batch] *)
+     first as sequential solo calls, then the same solves fanned out 20
+     at a time with [Pool.map] over the bench pool, one workspace per
+     solve — the fanned-out number is what the regression gate tracks,
+     since pulse resolution maps one duration search per block over its
+     pool the same way *)
   let hw1 = Epoc_qoc.Hardware.make 1 in
   let grape_target = Gate.matrix Gate.X in
   let grape_reps = 20 in
@@ -746,26 +746,26 @@ let bench_json () =
   let grape_s = Unix.gettimeofday () -. g0 in
   let batch_width = 20 in
   let batch_reps = 5 in
-  let ws = Epoc_qoc.Grape.workspace ~metrics:bench_metrics () in
-  (* one untimed batch first: the initial call allocates the workspace
-     buffers, which would otherwise be billed to the first timed rep *)
-  ignore
-    (Epoc_qoc.Grape.optimize_batch ~pool ~workspace:ws
-       (Array.init batch_width (fun _ ->
-            Epoc_qoc.Grape.batch_job hw1 ~target:grape_target ~slots:24)));
+  let fan_out () =
+    Pool.map pool
+      (fun () ->
+        Epoc_qoc.Grape.optimize_r ~pool
+          ~workspace:(Epoc_qoc.Grape.workspace ~metrics:bench_metrics ())
+          hw1 ~target:grape_target ~slots:24)
+      (List.init batch_width (fun _ -> ()))
+  in
+  (* one untimed fan-out first, so first-call effects are not billed to
+     the first timed rep *)
+  ignore (fan_out ());
   let b0 = Unix.gettimeofday () in
   let batch_iters = ref 0 in
   for _ = 1 to batch_reps do
-    let jobs =
-      Array.init batch_width (fun _ ->
-          Epoc_qoc.Grape.batch_job hw1 ~target:grape_target ~slots:24)
-    in
-    Array.iter
+    List.iter
       (function
         | Ok (r : Epoc_qoc.Grape.result) ->
             batch_iters := !batch_iters + r.Epoc_qoc.Grape.iterations
         | Error _ -> ())
-      (Epoc_qoc.Grape.optimize_batch ~pool ~workspace:ws jobs)
+      (fan_out ())
   done;
   let batch_s = Unix.gettimeofday () -. b0 in
   let g2 = grape2q_micro () in

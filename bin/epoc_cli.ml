@@ -32,6 +32,9 @@ module J = Epoc_obs.Json
    Sources (epoc.pipeline, epoc.qoc, epoc.synthesis, epoc.zx) follow the
    global level. *)
 let setup_logs verbosity =
+  (* pulse and synthesis solves log from pool domains: serialize the
+     reporter *)
+  Logs_threaded.enable ();
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level
     (Some
@@ -81,7 +84,12 @@ let deadline_arg =
        & info [ "deadline" ] ~docv:"SEC" ~env:(Cmd.Env.info "EPOC_DEADLINE") ~doc)
 
 let block_deadline_arg =
-  let doc = "Per-block-attempt compute deadline in seconds." in
+  let doc =
+    "Compute deadline in seconds for each solve attempt of one block \
+     (one GRAPE duration search, or one block's synthesis); it starts \
+     when that attempt starts, so it times that block alone.  Capped by \
+     $(b,--deadline)."
+  in
   Arg.(value & opt (some float) None
        & info [ "block-deadline" ] ~docv:"SEC" ~doc)
 
@@ -448,13 +456,10 @@ let report_text (r : Epoc.Pipeline.result) metrics ~process =
   Option.iter
     (pp_hist_row "grape.final_infidelity")
     (M.hist_value metrics "grape.final_infidelity");
-  (* batched-solver telemetry: group widths are per-run (deterministic),
-     throughput is process-global (wall clock) *)
+  (* solver throughput is engine-scoped (wall clock): the last solve's
+     rate *)
   Option.iter
-    (pp_hist_row "grape.batch_size")
-    (M.hist_value metrics "grape.batch_size");
-  Option.iter
-    (fun v -> Printf.printf "  GRAPE throughput: %.0f iters/s (batched)\n" v)
+    (fun v -> Printf.printf "  GRAPE throughput: %.0f iters/s\n" v)
     (M.gauge_value process "grape.iters_per_s");
   Printf.printf
     "  QSearch: %d blocks, %d synthesized, %d prunes, open-set high water %s\n"

@@ -7,13 +7,15 @@
    record file so a second `epoc` invocation on the same (or a similar)
    circuit starts from the previous run's pulses.
 
-   Every record carries the [Hardware.context] of the model its pulse
-   was solved on, keyed like the library ([Library.key]): [""] (the
-   default chain) keys by the bare fingerprint, so default records keep
-   their schema-1 keys.  Queries answer only within one context, so a
-   device block's pulse never answers a default-chain probe, the
-   reverse, or a probe on another calibration of the same device name
-   (device contexts carry a digest of the device).
+   Every record carries the reuse context of its entry, keyed like the
+   library ([Library.key]): the [Hardware.context] of the model its
+   pulse was solved on, prefixed with ["estimate;"] for an estimate-mode
+   price.  [""] (a GRAPE pulse on the default chain) keys by the bare
+   fingerprint.  Queries answer only within one context, so an
+   estimate never answers a GRAPE probe or the reverse, and a device
+   block's pulse never answers a default-chain probe, the reverse, or a
+   probe on another calibration of the same device name (device
+   contexts carry a digest of the device).
 
    All of the JSONL mechanics — versioned header, quarantine on header
    mismatch, torn-trailing-record skip, lockf + mutex flush locking,
@@ -27,14 +29,14 @@ open Epoc_pulse
 module Json = Epoc_obs.Json
 
 let log_src = Persistent.log_src
-let schema_version = 2
+let schema_version = 3
 
 type entry = {
   unitary : Mat.t; (* canonical-phase representative *)
   duration : float; (* ns *)
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option; (* control amplitudes, for warm starts *)
-  context : string; (* Hardware.context of the model it was solved on *)
+  context : string; (* reuse context (see the header) *)
 }
 
 (* --- (de)serialization ---------------------------------------------------- *)

@@ -4,11 +4,13 @@
     {!Epoc_pulse.Library.key} of a unitary under a hardware context to
     previously synthesized pulses, so a second [epoc] invocation reuses
     the first one's GRAPE results (exact hits) or starts GRAPE from a
-    similar cached pulse (near hits).  Every record carries the
-    [Hardware.context] of the model its pulse was solved on ([""] for
-    the default chain, whose keys are the bare fingerprints), and
-    queries answer only within one context: a device block's pulse
-    never answers a probe on another model.
+    similar cached pulse (near hits).  Every record carries the reuse
+    context of its entry: the [Hardware.context] of the model its pulse
+    was solved on ([""] for the default chain, whose keys are the bare
+    fingerprints), prefixed with ["estimate;"] for an estimate-mode
+    price.  Queries answer only within one context: a device block's
+    pulse never answers a probe on another model, and an estimate never
+    answers a GRAPE probe or the reverse.
 
     On-disk format, under the store directory:
 
@@ -18,7 +20,9 @@
       mismatch — foreign format, different [schema_version], different
       global-phase convention — makes the store start empty rather than
       mis-read the records (a schema-1 file, written before records
-      carried a context, is discarded once and refills).
+      carried a context, or a schema-2 file, whose estimate records
+      share the GRAPE records' contexts, is discarded once and
+      refills).
     - [lock] — advisory lock file ([Unix.lockf]) serializing flushes
       between concurrent [epoc] processes.
 
@@ -45,7 +49,9 @@ type entry = {
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option;
       (** control amplitudes, for warm starts *)
-  context : string;  (** [Hardware.context] the pulse was solved on *)
+  context : string;
+      (** reuse context: the [Hardware.context] the pulse was solved on,
+          ["estimate;"]-prefixed for an estimate-mode price *)
 }
 
 type t

@@ -17,12 +17,10 @@
    one-segment solve (every solve below dim 8, and below 256 slots at
    dim 8) calls its sweeps directly; a larger one fans them out over
    the domain pool.  The segmentation pins the association of every
-   floating-point reduction, and all per-job state (RNG, Adam moments,
-   stop logic) is private to the job, so a job's result depends only
-   on the job: [optimize_batch] splits its jobs into one chunk per
-   domain and runs each chunk's jobs one after another, [optimize_r]
-   is a batch of one, and execution choices (chunking, EPOC_JOBS) can
-   change only wall-clock, never values.
+   floating-point reduction, and all solve state (RNG, Adam moments,
+   stop logic) is private to the solve, so a result depends only on
+   the solve's inputs: execution choices (the pool, EPOC_JOBS, which
+   domain runs the solve) can change only wall-clock, never values.
 
    The inner loop is allocation-free: all matrix scratch lives in a
    [workspace] reused across iterations, attempts and whole solve
@@ -177,39 +175,12 @@ let propagate hw (p : pulse) =
 
 let fidelity_of target u = Mat.hs_fidelity target u
 
-(* --- batched jobs and per-job solver state ------------------------------ *)
+(* --- solver state ---------------------------------------------------------- *)
 
-type batch_job = {
-  bj_hw : Hardware.t;
-  bj_target : Mat.t;
-  bj_slots : int;
-  bj_options : options;
-  bj_rng : Random.State.t option;
-  bj_budget : Epoc_budget.t;
-  bj_fault : Epoc_fault.spec option;
-  bj_site : string;
-  bj_attempt : int;
-}
-
-let batch_job ?(options = default_options) ?rng
-    ?(budget = Epoc_budget.unlimited) ?fault ?(site = "grape") ?(attempt = 0)
-    hw ~target ~slots =
-  {
-    bj_hw = hw;
-    bj_target = target;
-    bj_slots = slots;
-    bj_options = options;
-    bj_rng = rng;
-    bj_budget = budget;
-    bj_fault = fault;
-    bj_site = site;
-    bj_attempt = attempt;
-  }
-
-(* All mutable state of one job mid-solve.  Matrix-shaped scratch lives
-   in the workspace; everything here is per-job, and only the segment
-   sweeps of the job's own solve touch it (each its own slots), which
-   is what keeps batching and chunking value-transparent. *)
+(* All mutable state of one solve.  Matrix-shaped scratch lives in the
+   workspace; everything here belongs to the solve, and only its own
+   segment sweeps touch it (each its own slots), which is what keeps
+   the segment fan-out value-transparent. *)
 type jstate = {
   j_hw : Hardware.t;
   j_target : Mat.t;
@@ -252,14 +223,10 @@ type jstate = {
   mutable j_ns : int;
 }
 
-let make_state (bj : batch_job) =
-  let hw = bj.bj_hw in
+let make_state ~options ~rng ~budget ~fault ~site ~attempt hw ~target
+    ~slots =
   let dim = 1 lsl hw.Hardware.n in
-  let slots = bj.bj_slots in
-  let options = bj.bj_options in
-  let rng =
-    match bj.bj_rng with Some r -> r | None -> Random.State.make [| 23 |]
-  in
+  let rng = match rng with Some r -> r | None -> Random.State.make [| 23 |] in
   let h0 = Hardware.drift hw in
   let ctrls = Array.of_list (Hardware.controls hw) in
   let nc = Array.length ctrls in
@@ -296,14 +263,13 @@ let make_state (bj : batch_job) =
   (* Injected faults are resolved once, before the loop: the decision is
      a pure function of (seed, kind, site, attempt), so the fault pattern
      is identical for any domain count. *)
-  let site = bj.bj_site and attempt = bj.bj_attempt in
   {
     j_hw = hw;
-    j_target = bj.bj_target;
-    j_target_dag = Mat.adjoint bj.bj_target;
+    j_target = target;
+    j_target_dag = Mat.adjoint target;
     j_slots = slots;
     j_opts = options;
-    j_budget = bj.bj_budget;
+    j_budget = budget;
     j_site = site;
     j_nc = nc;
     j_ctrls = ctrls;
@@ -316,9 +282,8 @@ let make_state (bj : batch_job) =
     j_best_amp = Array.map Array.copy u_amp;
     j_madam = Array.init nc (fun _ -> Array.make slots 0.0);
     j_vadam = Array.init nc (fun _ -> Array.make slots 0.0);
-    j_nan = Epoc_fault.fires_opt bj.bj_fault ~kind:"grape_nan" ~site ~attempt;
-    j_deadline =
-      Epoc_fault.fires_opt bj.bj_fault ~kind:"deadline" ~site ~attempt;
+    j_nan = Epoc_fault.fires_opt fault ~kind:"grape_nan" ~site ~attempt;
+    j_deadline = Epoc_fault.fires_opt fault ~kind:"deadline" ~site ~attempt;
     j_iters = 0;
     j_stop = Budget;
     j_running = true;
@@ -599,24 +564,19 @@ let make_ck ~dim ~slots =
   }
 
 type workspace = {
-  mutable ws_chunks : ck_bufs option array; (* one slot per chunk *)
+  mutable ws_bufs : ck_bufs option;
   ws_metrics : Metrics.t option;
       (* engine-scoped sink for wall-clock gauges (iters/s); never a
          per-run registry — throughput is non-deterministic *)
 }
 
-let workspace ?metrics () = { ws_chunks = [||]; ws_metrics = metrics }
+let workspace ?metrics () = { ws_bufs = None; ws_metrics = metrics }
 
-(* Chunk [idx]'s buffers, holding solves at [dim] of up to [slots]
+(* The workspace's buffers, holding solves at [dim] of up to [slots]
    slots.  Capacities only grow, so a duration search reuses one
    allocation across all its attempts. *)
-let ensure_ck ws idx ~dim ~slots =
-  if Array.length ws.ws_chunks <= idx then begin
-    let grown = Array.make (idx + 1) None in
-    Array.blit ws.ws_chunks 0 grown 0 (Array.length ws.ws_chunks);
-    ws.ws_chunks <- grown
-  end;
-  match ws.ws_chunks.(idx) with
+let ensure_ck ws ~dim ~slots =
+  match ws.ws_bufs with
   | Some c when c.ck_dim = dim && c.ck_slots >= slots -> c
   | prev ->
       let slots =
@@ -625,7 +585,7 @@ let ensure_ck ws idx ~dim ~slots =
         | _ -> slots
       in
       let c = make_ck ~dim ~slots in
-      ws.ws_chunks.(idx) <- Some c;
+      ws.ws_bufs <- Some c;
       c
 
 (* --- solver core -------------------------------------------------------- *)
@@ -653,8 +613,9 @@ let ensure_ck ws idx ~dim ~slots =
    one-segment solve calls them directly, so it records no pool
    traffic; a larger one fans them out with [Pool.parallel_for], which
    runs a plain loop when the pool grants no extra domain (as inside a
-   chunk fan-out that holds every domain).  Either way an iteration
-   allocates nothing on one domain beyond its convergence sample. *)
+   fan-out of whole solves that holds every domain).  Either way an
+   iteration allocates nothing on one domain beyond its convergence
+   sample. *)
 let run_job pool (c : ck_bufs) (st : jstate) =
   let dim = c.ck_dim in
   let slots = st.j_slots in
@@ -754,74 +715,27 @@ let run_job pool (c : ck_bufs) (st : jstate) =
     incr it
   done
 
-(* --- orchestration ------------------------------------------------------ *)
+(* --- entry point ---------------------------------------------------------- *)
 
-let optimize_batch ?pool ?workspace:ws_opt (jobs : batch_job array) =
-  let n = Array.length jobs in
-  if n = 0 then [||]
-  else begin
-    let dim0 = 1 lsl jobs.(0).bj_hw.Hardware.n in
-    Array.iter
-      (fun bj ->
-        let dim = 1 lsl bj.bj_hw.Hardware.n in
-        if dim <> dim0 then
-          invalid_arg "Grape.optimize_batch: mixed dimensions";
-        if Mat.rows bj.bj_target <> dim then
-          invalid_arg "Grape.optimize_batch: dimension mismatch";
-        if bj.bj_slots < 1 then
-          invalid_arg "Grape.optimize_batch: need at least one slot")
-      jobs;
-    let t0 = Monotonic_clock.now () in
-    let ws = match ws_opt with Some w -> w | None -> workspace () in
-    (* job states are created sequentially in job order: warm-init
-       resampling and cold-start RNG draws happen on the coordinator, so
-       a shared RNG across jobs is consumed in a deterministic order *)
-    let sts =
-      let first = make_state jobs.(0) in
-      let a = Array.make n first in
-      for i = 1 to n - 1 do
-        a.(i) <- make_state jobs.(i)
-      done;
-      a
-    in
-    let pool = match pool with Some p -> p | None -> Pool.sequential in
-    let nchunks = Stdlib.max 1 (Stdlib.min n (Pool.domains pool)) in
-    let chunks =
-      Array.init nchunks (fun c ->
-          let start = c * n / nchunks in
-          Array.sub sts start (((c + 1) * n / nchunks) - start))
-    in
-    (* chunk buffers are ensured on the coordinator before the fan-out:
-       workers only use their own chunk's buffers and never grow the
-       workspace *)
-    let bufs =
-      Array.mapi
-        (fun c chunk ->
-          let slots =
-            Array.fold_left (fun a st -> Stdlib.max a st.j_slots) 1 chunk
-          in
-          ensure_ck ws c ~dim:dim0 ~slots)
-        chunks
-    in
-    let run c = Array.iter (run_job pool bufs.(c)) chunks.(c) in
-    if nchunks > 1 then Pool.parallel_for pool ~lo:0 ~hi:nchunks run
-    else run 0;
-    (* throughput gauge: the workspace's engine-scoped registry only —
-       wall-clock is non-deterministic and must stay out of the per-run
-       registries the determinism tests compare *)
-    let total_iters = Array.fold_left (fun a st -> a + st.j_iters) 0 sts in
-    let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
-    (match ws.ws_metrics with
-    | Some m when wall > 0.0 && total_iters > 0 ->
-        Metrics.set m "grape.iters_per_s" (float_of_int total_iters /. wall)
-    | _ -> ());
-    Array.map finalize sts
-  end
-
-(* Result-returning entry point: a batch of one. *)
-let optimize_r ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace hw
-    ~target ~slots =
-  let bj =
-    batch_job ?options ?rng ?budget ?fault ?site ?attempt hw ~target ~slots
+let optimize_r ?(options = default_options) ?rng
+    ?(budget = Epoc_budget.unlimited) ?fault ?(site = "grape") ?(attempt = 0)
+    ?(pool = Pool.sequential) ?workspace:ws_opt hw ~target ~slots =
+  let dim = 1 lsl hw.Hardware.n in
+  if Mat.rows target <> dim then
+    invalid_arg "Grape.optimize_r: dimension mismatch";
+  if slots < 1 then invalid_arg "Grape.optimize_r: need at least one slot";
+  let t0 = Monotonic_clock.now () in
+  let ws = match ws_opt with Some w -> w | None -> workspace () in
+  let st =
+    make_state ~options ~rng ~budget ~fault ~site ~attempt hw ~target ~slots
   in
-  (optimize_batch ?pool ?workspace [| bj |]).(0)
+  run_job pool (ensure_ck ws ~dim ~slots) st;
+  (* throughput gauge: the workspace's engine-scoped registry only —
+     wall-clock is non-deterministic and must stay out of the per-run
+     registries the determinism tests compare *)
+  let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
+  (match ws.ws_metrics with
+  | Some m when wall > 0.0 && st.j_iters > 0 ->
+      Metrics.set m "grape.iters_per_s" (float_of_int st.j_iters /. wall)
+  | _ -> ());
+  finalize st

@@ -8,14 +8,12 @@
     {!optimize_r} solves one target: it returns a [result] and maps
     divergence (non-finite fidelity), expired {!Epoc_budget.t}
     deadlines and injected {!Epoc_fault} faults to typed
-    {!Epoc_error.t} values.
-
-    {!optimize_batch} solves many independent equal-dimension jobs,
-    one chunk of jobs per domain of a {!Epoc_parallel.Pool}, each job on
-    the one solver core: its slot chain splits into {!segments}, and a
-    solve of more than one segment sweeps them over the pool.  A job's
-    result depends only on the job, never on which batch it rides in or
-    how many domains run it. *)
+    {!Epoc_error.t} values.  Its slot chain splits into {!segments}, and
+    a solve of more than one segment sweeps them over a
+    {!Epoc_parallel.Pool}.  Independent solves fan out as whole calls
+    (the pipeline maps one duration search per block over its pool); a
+    result depends only on the solve's inputs, never on which domain
+    runs it or how many domains there are. *)
 
 open Epoc_linalg
 
@@ -110,40 +108,24 @@ val propagate : Hardware.t -> pulse -> Mat.t
 (** [fidelity_of target u]: global-phase-invariant gate fidelity. *)
 val fidelity_of : Mat.t -> Mat.t -> float
 
-(** {1 Batched solving} *)
+(** {1 Solving} *)
 
-(** One solve request for {!optimize_batch}: the same inputs
-    {!optimize_r} takes, packaged as a value. *)
-type batch_job
-
-(** [batch_job hw ~target ~slots] with the same optional arguments (and
-    defaults) as {!optimize_r}. *)
-val batch_job :
-  ?options:options ->
-  ?rng:Random.State.t ->
-  ?budget:Epoc_budget.t ->
-  ?fault:Epoc_fault.spec ->
-  ?site:string ->
-  ?attempt:int ->
-  Hardware.t ->
-  target:Mat.t ->
-  slots:int ->
-  batch_job
-
-(** Reusable matrix scratch for solves, one set of buffers per chunk of
-    {!optimize_batch}.  Buffers grow on demand and are kept across
-    calls, so threading one workspace through a whole duration search
-    (many attempts at varying slot counts) makes the solver inner loop
-    allocation-free.  Measured on one domain as the minor words of a
-    600-iteration solve less those of a 300-iteration solve, per
-    iteration: 14.00 at 1 qubit/24 slots, 2/112, 3/112 and 3/256 (8
-    segments), exactly one convergence [series] sample (a 4-field record
-    with three boxed floats and a cons cell).  At both budgets every
-    per-solve array exceeds the minor heap's largest block (256 words),
-    so only the loop's own allocation differs.
+(** Reusable matrix scratch for solves: one set of buffers that grows on
+    demand and is kept across calls, so threading one workspace through
+    a whole duration search (many attempts at varying slot counts) makes
+    the solver inner loop allocation-free.  A workspace serves one solve
+    at a time; concurrent solves each take their own.  Measured on one
+    domain as the minor words of a 600-iteration solve less those of a
+    300-iteration solve, per iteration: 14.00 at 1 qubit/24 slots,
+    2/112, 3/112 and 3/256 (8 segments), exactly one convergence
+    [series] sample (a 4-field record with three boxed floats and a cons
+    cell).  At both budgets every per-solve array exceeds the minor
+    heap's largest block (256 words), so only the loop's own allocation
+    differs.
 
     [metrics] is the sink for wall-clock solver gauges
-    ([grape.iters_per_s]); the pipeline passes the owning engine's
+    ([grape.iters_per_s], the iterations per second of the last solve
+    on this workspace); the pipeline passes the owning engine's
     registry.  Wall-clock values are non-deterministic, so they never
     belong in a per-run registry, and without a sink they are simply
     dropped. *)
@@ -158,24 +140,7 @@ val workspace : ?metrics:Epoc_obs.Metrics.t -> unit -> workspace
     any [EPOC_JOBS].  Exposed for tests. *)
 val segments : dim:int -> slots:int -> int
 
-(** Solve every job.  The jobs split into [min jobs domains] chunks
-    fanned out over [pool] (omitted = sequential); each chunk runs its
-    jobs one after another on its own workspace buffers, and a
-    segmented job sweeps its segments over whatever domains the chunk
-    fan-out leaves free (none, as a plain loop, when it holds them all).
-    Results are positionally parallel to [jobs]; each is exactly what
-    {!optimize_r} would have returned for that job alone — per-job
-    errors land in their slot instead of aborting the batch.
-
-    @raise Invalid_argument on mixed dimensions across jobs, a
-    target/hardware dimension mismatch, or [slots < 1]. *)
-val optimize_batch :
-  ?pool:Epoc_parallel.Pool.t ->
-  ?workspace:workspace ->
-  batch_job array ->
-  (result, Epoc_error.t) Result.t array
-
-(** Result-returning optimization: a batch of one.
+(** Result-returning optimization of one target.
 
     [budget] is checked every iteration and yields
     [Error (Deadline_exceeded _)]; a non-finite fidelity (or an
@@ -185,8 +150,10 @@ val optimize_batch :
     retry attempt the caller is on, part of the deterministic fault
     derivation.
 
-    [pool] and [workspace] tune execution only (see
-    {!optimize_batch}); they never change the result.
+    [pool] (omitted = sequential) sweeps the segments of a segmented
+    solve, over whatever domains enclosing fan-outs leave free;
+    [workspace] (omitted = a fresh one) supplies the matrix scratch.
+    Both tune execution only; they never change the result.
 
     @raise Invalid_argument on dimension mismatch or [slots < 1]. *)
 val optimize_r :

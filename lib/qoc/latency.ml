@@ -2,9 +2,10 @@
 
    For a target unitary, find the smallest number of GRAPE slots whose
    optimized pulse reaches the fidelity target, assuming reachability is
-   monotone in duration (quantum speed limit).  The search first doubles an
-   upper bracket from a lower bound, then bisects at a configurable slot
-   granularity.
+   monotone in duration (quantum speed limit).  The search brackets from a
+   seeded guess — doubling a failing bound up, or halving a succeeding one
+   down — then bisects at a configurable slot granularity, one GRAPE
+   attempt at a time.
 
    [estimate] is the calibrated analytic shortcut used for very wide
    sweeps: it prices a unitary by the CNOT count and single-qubit load of
@@ -44,237 +45,103 @@ type options = {
 let default_options =
   { grape = Grape.default_options; granularity = 4; max_slots = 1024; min_slots = 2 }
 
-(* --- batched search ------------------------------------------------------ *)
+(* --- duration search ------------------------------------------------------- *)
 
-type search_job = {
-  sj_hw : Hardware.t;
-  sj_target : Mat.t;
-  sj_options : options;
-  sj_initial_guess : int option;
-  sj_grape : Grape.options; (* sj_options.grape with ?init folded in *)
-  sj_rng : Random.State.t option;
-  sj_budget : Epoc_budget.t;
-  sj_fault : Epoc_fault.spec option;
-  sj_site : string;
-  sj_attempt : int;
-}
+let ( let* ) = Result.bind
 
-let search_job ?(options = default_options) ?initial_guess ?init ?rng
+(* Bracket then bisect.  The first attempt runs at the seeded guess; a
+   failing bound doubles until an attempt succeeds (past [max_slots]
+   the search gives up), a succeeding first attempt halves until one
+   fails or the bound drops below [min_slots], and the bracket (lo, hi]
+   — hi succeeded — is then bisected down to [granularity].  The
+   attempt at [slots] draws from [rng] when given, else from its own
+   [Random.State.make [|29; slots|]]; every attempt reuses one
+   workspace.  A typed GRAPE error ends the search. *)
+let find_min_duration_r ?(options = default_options) ?initial_guess ?init ?rng
     ?(budget = Epoc_budget.unlimited) ?fault ?(site = "grape") ?(attempt = 0)
-    (hw : Hardware.t) (target : Mat.t) =
+    ?pool ?workspace (hw : Hardware.t) (target : Mat.t) =
   (* [?init] (cached near-neighbor amplitudes) takes precedence over any
      [init] in the provided grape options; Grape resamples it to each
      attempt's slot count. *)
-  let sj_grape =
+  let grape =
     match init with
     | None -> options.grape
     | Some amps -> { options.grape with Grape.init = Some amps }
   in
-  {
-    sj_hw = hw;
-    sj_target = target;
-    sj_options = options;
-    sj_initial_guess = initial_guess;
-    sj_grape;
-    sj_rng = rng;
-    sj_budget = budget;
-    sj_fault = fault;
-    sj_site = site;
-    sj_attempt = attempt;
-  }
-
-(* The bracket-then-bisect recursion of the solo search, unrolled into a
-   state machine so many searches can advance together: each round takes
-   exactly one GRAPE attempt per still-searching job, and all of a
-   round's attempts go to [Grape.optimize_batch] as one batch.  Each
-   job's attempt sequence (slot counts, RNG draws, stopping) is exactly
-   the solo search's, so results are bit-identical to running the
-   searches one by one — batching only co-schedules them. *)
-type sm =
-  | Probe_start of int (* first attempt at the seeded guess *)
-  | Probe_up of int (* bracket_up: doubling a failing lower bound *)
-  | Probe_down of int * Grape.result (* bracket_down: hi succeeded *)
-  | Probe_bisect of int * int * Grape.result (* (lo, hi] with best at hi *)
-  | Finished of (search_result, Epoc_error.t) result
-
-type search_state = {
-  ss_job : search_job;
-  mutable ss_sm : sm;
-  mutable ss_runs : int;
-  mutable ss_attempts : attempt list; (* newest first *)
-}
-
-let ss_min_slots ss = max 1 ss.ss_job.sj_options.min_slots
-
-let ss_finish_found ss slots (result : Grape.result) =
-  let hw = ss.ss_job.sj_hw in
-  Log.debug (fun m ->
-      m "duration search: converged at %d slots (%.1f ns) in %d runs" slots
-        (float_of_int slots *. hw.Hardware.dt)
-        ss.ss_runs);
-  ss.ss_sm <-
-    Finished
-      (Ok
-         {
-           slots;
-           duration = float_of_int slots *. hw.Hardware.dt;
-           fidelity = result.Grape.fidelity;
-           result;
-           grape_runs = ss.ss_runs;
-           attempts = List.rev ss.ss_attempts;
-         })
-
-(* Enter the bisection over (lo, hi] (hi succeeded with [best]); resolves
-   immediately when the interval is already within granularity. *)
-let ss_enter_bisect ss lo hi best =
-  if hi - lo <= ss.ss_job.sj_options.granularity then ss_finish_found ss hi best
-  else ss.ss_sm <- Probe_bisect (lo, hi, best)
-
-(* Slot count of the state's pending attempt, if it needs one this
-   round.  [Probe_up] past [max_slots] resolves here (no bracket). *)
-let rec ss_pending ss =
-  match ss.ss_sm with
-  | Finished _ -> None
-  | Probe_start s -> Some s
-  | Probe_up lo ->
-      if lo > ss.ss_job.sj_options.max_slots then begin
-        Log.debug (fun m ->
-            m "duration search: no bracket up to %d slots (%d runs)"
-              ss.ss_job.sj_options.max_slots ss.ss_runs);
-        ss.ss_sm <-
-          Finished
-            (Error
-               (Epoc_error.Duration_unreachable
-                  {
-                    site = ss.ss_job.sj_site;
-                    max_slots = ss.ss_job.sj_options.max_slots;
-                  }));
-        None
-      end
-      else Some lo
-  | Probe_down (hi, r_hi) ->
-      let lo = hi / 2 in
-      if lo < ss_min_slots ss then begin
-        ss_enter_bisect ss (ss_min_slots ss - 1) hi r_hi;
-        ss_pending_resolved ss
-      end
-      else Some lo
-  | Probe_bisect (lo, hi, _) -> Some ((lo + hi) / 2)
-
-(* After an in-place transition, re-ask; [Probe_down] can collapse
-   straight into a resolved bisection. *)
-and ss_pending_resolved ss =
-  match ss.ss_sm with Finished _ -> None | _ -> ss_pending ss
-
-(* Advance the state with the GRAPE result of its pending attempt at
-   [slots] — the transitions mirror the solo recursion branch for
-   branch. *)
-let ss_step ss slots (res : (Grape.result, Epoc_error.t) result) =
-  match res with
-  | Error e -> ss.ss_sm <- Finished (Error e)
-  | Ok r -> (
-      ss.ss_runs <- ss.ss_runs + 1;
-      ss.ss_attempts <-
-        {
-          att_slots = slots;
-          att_iterations = r.Grape.iterations;
-          att_fidelity = r.Grape.fidelity;
-          att_stop = r.Grape.stop;
-        }
-        :: ss.ss_attempts;
-      Log.debug (fun m ->
-          m "duration search: %d slots -> F=%.6f (%d iters, %s)" slots
-            r.Grape.fidelity r.Grape.iterations
-            (Grape.stop_reason_name r.Grape.stop));
-      let ok = r.Grape.fidelity >= ss.ss_job.sj_grape.Grape.fidelity_target in
-      match ss.ss_sm with
-      | Finished _ -> ()
-      | Probe_start s ->
-          if ok then ss.ss_sm <- Probe_down (s, r)
-          else ss.ss_sm <- Probe_up (s * 2)
-      | Probe_up hi ->
-          if ok then ss_enter_bisect ss (hi / 2) hi r
-          else ss.ss_sm <- Probe_up (hi * 2)
-      | Probe_down (hi, r_hi) ->
-          let lo = hi / 2 in
-          if ok then ss.ss_sm <- Probe_down (lo, r)
-          else ss_enter_bisect ss lo hi r_hi
-      | Probe_bisect (lo, hi, best) ->
-          let mid = (lo + hi) / 2 in
-          if ok then ss_enter_bisect ss lo mid r
-          else ss_enter_bisect ss mid hi best)
-
-(* Run all searches to completion, one GRAPE batch per round.
-   All jobs must share a Hilbert-space dimension (they come from one
-   hardware group); [pool]/[workspace] are execution-only knobs threaded
-   into every batched solve. *)
-let find_min_duration_batch ?pool ?workspace (jobs : search_job array) =
-  let states =
-    Array.map
-      (fun sj ->
-        let start =
-          max
-            (max 1 sj.sj_options.min_slots)
-            (Option.value ~default:(max 1 sj.sj_options.min_slots)
-               sj.sj_initial_guess)
-        in
-        { ss_job = sj; ss_sm = Probe_start start; ss_runs = 0; ss_attempts = [] })
-      jobs
-  in
-  let ws =
+  let workspace =
     match workspace with Some w -> w | None -> Grape.workspace ()
   in
-  let continue_ = ref (Array.length states > 0) in
-  while !continue_ do
-    (* collect this round's pending attempts (state index, slot count) *)
-    let pending = ref [] in
-    Array.iteri
-      (fun i ss ->
-        match ss_pending ss with
-        | Some slots -> pending := (i, slots) :: !pending
-        | None -> ())
-      states;
-    let pending = Array.of_list (List.rev !pending) in
-    if Array.length pending = 0 then continue_ := false
-    else begin
-      let bjs =
-        Array.map
-          (fun (i, slots) ->
-            let sj = states.(i).ss_job in
-            let rng =
-              match sj.sj_rng with
-              | Some r -> r
-              | None -> Random.State.make [| 29; slots |]
-            in
-            Grape.batch_job ~options:sj.sj_grape ~rng ~budget:sj.sj_budget
-              ?fault:sj.sj_fault ~site:sj.sj_site ~attempt:sj.sj_attempt
-              sj.sj_hw ~target:sj.sj_target ~slots)
-          pending
-      in
-      let results = Grape.optimize_batch ?pool ~workspace:ws bjs in
-      Array.iteri
-        (fun p (i, slots) -> ss_step states.(i) slots results.(p))
-        pending
-    end
-  done;
-  Array.map
-    (fun ss ->
-      match ss.ss_sm with
-      | Finished r -> r
-      | _ -> assert false (* loop exits only with all states finished *))
-    states
-
-(* Result-returning entry point: a batch of one.  A search that
-   brackets up to [max_slots] without reaching the fidelity target maps
-   to [Duration_unreachable]; solver and deadline failures pass through
-   typed. *)
-let find_min_duration_r ?options ?initial_guess ?init ?rng ?budget ?fault
-    ?site ?attempt ?pool ?workspace hw target =
-  let sj =
-    search_job ?options ?initial_guess ?init ?rng ?budget ?fault ?site
-      ?attempt hw target
+  let min_slots = max 1 options.min_slots in
+  let runs = ref 0 and attempts = ref [] in
+  (* One GRAPE attempt: whether it reached the target, and its result. *)
+  let run slots =
+    let rng =
+      match rng with Some r -> r | None -> Random.State.make [| 29; slots |]
+    in
+    let* r =
+      Grape.optimize_r ~options:grape ~rng ~budget ?fault ~site ~attempt ?pool
+        ~workspace hw ~target ~slots
+    in
+    incr runs;
+    attempts :=
+      {
+        att_slots = slots;
+        att_iterations = r.Grape.iterations;
+        att_fidelity = r.Grape.fidelity;
+        att_stop = r.Grape.stop;
+      }
+      :: !attempts;
+    Log.debug (fun m ->
+        m "duration search: %d slots -> F=%.6f (%d iters, %s)" slots
+          r.Grape.fidelity r.Grape.iterations
+          (Grape.stop_reason_name r.Grape.stop));
+    Ok (r.Grape.fidelity >= grape.Grape.fidelity_target, r)
   in
-  (find_min_duration_batch ?pool ?workspace [| sj |]).(0)
+  let found slots (result : Grape.result) =
+    let duration = float_of_int slots *. hw.Hardware.dt in
+    Log.debug (fun m ->
+        m "duration search: converged at %d slots (%.1f ns) in %d runs" slots
+          duration !runs);
+    Ok
+      {
+        slots;
+        duration;
+        fidelity = result.Grape.fidelity;
+        result;
+        grape_runs = !runs;
+        attempts = List.rev !attempts;
+      }
+  in
+  (* (lo, hi] with [best] the result at hi *)
+  let rec bisect lo hi best =
+    if hi - lo <= options.granularity then found hi best
+    else
+      let mid = (lo + hi) / 2 in
+      let* ok, r = run mid in
+      if ok then bisect lo mid r else bisect mid hi best
+  in
+  let rec double lo =
+    if lo > options.max_slots then begin
+      Log.debug (fun m ->
+          m "duration search: no bracket up to %d slots (%d runs)"
+            options.max_slots !runs);
+      Error
+        (Epoc_error.Duration_unreachable { site; max_slots = options.max_slots })
+    end
+    else
+      let* ok, r = run lo in
+      if ok then bisect (lo / 2) lo r else double (lo * 2)
+  in
+  let rec halve hi r_hi =
+    let lo = hi / 2 in
+    if lo < min_slots then bisect (min_slots - 1) hi r_hi
+    else
+      let* ok, r = run lo in
+      if ok then halve lo r else bisect lo hi r_hi
+  in
+  let start = max min_slots (Option.value ~default:min_slots initial_guess) in
+  let* ok, r = run start in
+  if ok then halve start r else double (start * 2)
 
 (* --- analytic estimator -------------------------------------------------- *)
 

@@ -36,47 +36,21 @@ type options = {
 
 val default_options : options
 
-(** {1 Batched search}
+(** Result-returning duration search, one {!Grape.optimize_r} attempt
+    at a time.  The first attempt runs at [initial_guess] (default and
+    floor [min_slots]).  A failing bound doubles until an attempt
+    succeeds, or the search returns [Duration_unreachable] once the
+    bound passes [max_slots]; a succeeding first attempt halves until
+    one fails or the bound drops below [min_slots]; the bracket is then
+    bisected down to [granularity].  The attempt at [slots] draws from
+    [rng] when given (a retry passes one), else from
+    [Random.State.make [|29; slots|]], so a search's result depends only
+    on its inputs.  A GRAPE error ends the search.
 
-    Many duration searches advance together: each round takes exactly
-    one GRAPE attempt per still-searching job and all of a round's
-    attempts run as one {!Grape.optimize_batch} call, so equal-sized
-    solves share contiguous batched kernels.  Each job's attempt
-    sequence is exactly the solo search's — results are bit-identical
-    to running the searches one by one. *)
-
-(** One duration-search request: the same inputs
-    {!find_min_duration_r} takes, packaged as a value. *)
-type search_job
-
-val search_job :
-  ?options:options ->
-  ?initial_guess:int ->
-  ?init:float array array ->
-  ?rng:Random.State.t ->
-  ?budget:Epoc_budget.t ->
-  ?fault:Epoc_fault.spec ->
-  ?site:string ->
-  ?attempt:int ->
-  Hardware.t ->
-  Mat.t ->
-  search_job
-
-(** Run every search to completion.  Results are positionally parallel
-    to the input; per-job failures land in their slot.  All jobs must
-    share a Hilbert-space dimension (callers group by hardware; mixed
-    dimensions raise [Invalid_argument]).  [pool] and [workspace] are
-    execution-only knobs threaded into every batched solve. *)
-val find_min_duration_batch :
-  ?pool:Epoc_parallel.Pool.t ->
-  ?workspace:Grape.workspace ->
-  search_job array ->
-  (search_result, Epoc_error.t) Result.t array
-
-(** Result-returning duration search: a batch of one.  [init]
-    warm-starts every GRAPE attempt from cached amplitudes;
+    [init] warm-starts every attempt from cached amplitudes;
     [budget]/[fault]/[site]/[attempt] are threaded into each attempt
-    (see {!Grape.optimize_r}). *)
+    (see {!Grape.optimize_r}).  [pool] and [workspace] (omitted = a
+    fresh one, reused by every attempt) tune execution only. *)
 val find_min_duration_r :
   ?options:options ->
   ?initial_guess:int ->

@@ -403,6 +403,51 @@ let test_warm_run_domain_determinism () =
   Alcotest.(check bool) "1 vs 4 domains identical" true (run 1 = run 4);
   rm_rf dir
 
+(* --- QoC-mode scoping ---------------------------------------------------------- *)
+
+(* Estimate-mode and GRAPE-mode compiles share one store without
+   answering each other's probes: an estimate record is a priced block,
+   not a solved pulse, so a GRAPE run on a store an estimate run filled
+   solves every block afresh, and an estimate run never reads a GRAPE
+   latency.  Each run matches a compile without the other mode's
+   records. *)
+let test_mode_scoping () =
+  let circuit = Epoc_benchmarks.Benchmarks.find "bb84" in
+  let compile ?dir (base : Config.t) =
+    let cfg = { base with Config.cache_dir = dir } in
+    let metrics = M.create () in
+    let r =
+      Pipeline.compile
+        (Engine.session ~config:cfg ~metrics ~name:"bb84"
+           (Engine.create ~config:cfg ()))
+        circuit
+    in
+    (r, metrics)
+  in
+  let same label (want : Pipeline.result) (got : Pipeline.result) =
+    Alcotest.(check (float 0.0)) (label ^ ": latency") want.Pipeline.latency
+      got.Pipeline.latency;
+    Alcotest.(check (float 0.0)) (label ^ ": esp") want.Pipeline.esp
+      got.Pipeline.esp;
+    Alcotest.(check bool) (label ^ ": schedule identical") true
+      (want.Pipeline.schedule = got.Pipeline.schedule)
+  in
+  (* GRAPE on a fresh store, then estimate on the same store *)
+  let grape_dir = tmp_dir "mode-grape-first" in
+  let fresh_grape, _ = compile ~dir:grape_dir Config.grape in
+  let estimate, _ = compile ~dir:grape_dir Config.default in
+  let storeless, _ = compile Config.default in
+  same "estimate after GRAPE" storeless estimate;
+  rm_rf grape_dir;
+  (* estimate first, then GRAPE on the same store *)
+  let estimate_dir = tmp_dir "mode-estimate-first" in
+  ignore (compile ~dir:estimate_dir Config.default);
+  let grape, grape_m = compile ~dir:estimate_dir Config.grape in
+  Alcotest.(check int) "GRAPE after estimate: no hits" 0
+    (M.counter_value grape_m "cache.hits");
+  same "GRAPE after estimate" fresh_grape grape;
+  rm_rf estimate_dir
+
 (* --- merged-entry accounting ------------------------------------------------ *)
 
 (* [merged_count] is the distinct on-disk record count after a flush —
@@ -701,6 +746,7 @@ let () =
           Alcotest.test_case "context scoping" `Quick test_context_scoping;
           Alcotest.test_case "recalibrated device" `Quick
             test_recalibrated_device;
+          Alcotest.test_case "QoC-mode scoping" `Quick test_mode_scoping;
         ] );
       ( "synth-store",
         [
