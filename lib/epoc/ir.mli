@@ -27,7 +27,8 @@ type job_result = {
   jr_pulse : Epoc_qoc.Grape.pulse option;
   jr_retries : int;  (** retry attempts used (0 = first try worked) *)
   jr_fallback : bool;  (** true = degraded to per-gate pulse playback *)
-  jr_error : string option;  (** the terminal error when degraded *)
+  jr_error : string option;
+      (** the terminal error of a degraded block or a failed duration search *)
 }
 
 (** One pulse to generate: a non-virtual group of the regrouped circuit.

@@ -21,7 +21,9 @@ type entry = {
   duration : float;
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option;
-  context : string; (* Hardware.context of the model it was solved on *)
+  context : string;
+      (* reuse context: the Hardware.context of the model it was solved
+         on, with "estimate;" in front for an estimate-mode price *)
 }
 
 type t = {

@@ -19,8 +19,9 @@ type entry = {
   fidelity : float;
   pulse : Epoc_qoc.Grape.pulse option;
   context : string;
-      (** the [Hardware.context] of the model the pulse was solved on;
-          [""] for the default chain *)
+      (** the reuse context: the [Hardware.context] of the model the
+          pulse was solved on ([""] for the default chain), with
+          ["estimate;"] in front for an estimate-mode price *)
 }
 
 type t
