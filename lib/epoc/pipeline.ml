@@ -128,8 +128,8 @@ let compile_candidate (ctx : Pass.ctx) passes ir0 ((optimized : Circuit.t), zx_u
 
 (* Compile [circuit] through a flow, in [session]: graph stage,
    candidate fan-out — each candidate against a fork of the library and
-   a private trace sink, merged back in candidate order — and
-   best-schedule selection.
+   a private trace sink, merged back in candidate order, the winner's
+   library fork first — and best-schedule selection.
 
    This is the driver every entry point lands on.  Shared state (pool,
    persistent stores, hardware memo, engine registry) is read through
@@ -165,7 +165,7 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
           | _ ->
               (* fork the library, trace and metrics per candidate so
                  candidate compilation is free of cross-candidate
-                 ordering; absorb all three in candidate order after *)
+                 ordering; absorb all three after *)
               let forked =
                 List.map
                   (fun cand ->
@@ -183,9 +183,21 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
                     compile_candidate cctx passes ir0 cand)
                   forked
               in
+              (* the winner's library first, then the others in candidate
+                 order: [Library.absorb] keeps the first of two entries
+                 whose unitaries match within epsilon, so a warm compile
+                 is answered with the durations the winning schedule used.
+                 A winner's alias that matches a loser's entry but not its
+                 own representative could still take the loser's value. *)
+              let _, winner =
+                Stages.best_by_latency
+                  (List.mapi (fun i ir -> (Ir.schedule_exn ir, i)) irs)
+              in
+              let _, winner_lib, _, _ = List.nth forked winner in
+              Library.absorb library winner_lib;
               List.iteri
                 (fun i (_, flib, ctrace, cmetrics) ->
-                  Library.absorb library flib;
+                  if i <> winner then Library.absorb library flib;
                   Trace.absorb trace ~prefix:(Fmt.str "cand%d/" i) ctrace;
                   Metrics.absorb metrics cmetrics)
                 forked;

@@ -57,7 +57,8 @@ type flow = {
 
 (** Compile a circuit through a flow, in a session: graph stage,
     candidate fan-out — each candidate against a fork of the library and
-    private trace/metrics sinks, merged back in candidate order — and
+    private trace/metrics sinks, merged back in candidate order, except
+    that the winning candidate's library fork is merged first — and
     best-schedule selection.  This is the driver every entry point lands
     on; {!Engine.session} is the single carrier of shared and per-run
     state (config, pool, stores, library, trace, metrics, budget).

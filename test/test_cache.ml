@@ -627,12 +627,13 @@ let test_synth_v1_quarantined () =
    schedule byte-for-byte. *)
 let test_pipeline_warm_synthesis () =
   let dir = tmp_dir "synth-pipeline" in
-  let circuit = Epoc_benchmarks.Benchmarks.find "simon" in
+  (* iswap: its 2-qubit block needs a search, which beats the direct form *)
+  let circuit = Epoc_benchmarks.Benchmarks.find "iswap" in
   let cfg = { Config.default with Config.synth_cache_dir = Some dir } in
   let run () =
     let metrics = M.create () in
     let engine = Engine.create ~config:cfg () in
-    let session = Engine.session ~config:cfg ~metrics ~name:"simon" engine in
+    let session = Engine.session ~config:cfg ~metrics ~name:"iswap" engine in
     (Pipeline.compile session circuit, metrics)
   in
   let cold, cold_m = run () in

@@ -178,6 +178,86 @@ let concurrent_vs_solo domains () =
      + Metrics.counter_value (Engine.metrics engine) "pool.sequential_maps"
     > 0)
 
+(* Random 10-qubit circuits for heavyhex12 (perfbench oneshot-estimate
+   draws of seeds 41, 139 and 193) whose warm repeat on one engine
+   changed one instruction's duration in its last bits: two
+   candidates priced one unitary a few ulps apart, and the library kept
+   the losing candidate's entry, which then answered the winner's
+   warm lookup. *)
+let warm_repeat_draws =
+  [
+    ( "seed41-rand1",
+      "qreg q[10]; t q[5]; t q[4]; x q[4]; h q[0]; \
+       rz(3.6793484573764821) q[3]; s q[6]; cx q[5],q[8]; \
+       cx q[3],q[8]; cx q[5],q[2]; rz(2.6455930363842639) q[1]; \
+       h q[3]; rz(3.9512905415801454) q[7]; h q[2]; cz q[6],q[2]; \
+       rz(4.6234500200838271) q[6]; cx q[4],q[9]; sx q[8]; h q[9]; \
+       cz q[2],q[0]; s q[1]; cz q[4],q[3]; cz q[8],q[5]; x q[0]; \
+       t q[4]; cx q[4],q[7]; cx q[8],q[5]; cx q[9],q[3]; h q[4]; \
+       s q[2]; t q[6]; s q[0]; cz q[4],q[0]; \
+       rz(6.2357678875356646) q[1]; h q[8]; cx q[7],q[2]; h q[9]; \
+       cz q[7],q[3]; h q[2]; cz q[9],q[5]; cz q[0],q[9]; x q[2]; \
+       h q[1]; x q[6]; cz q[2],q[7]; cz q[0],q[4]; x q[8]; \
+       rz(1.9681206600853267) q[9]; t q[5]; cz q[9],q[2]; \
+       cx q[8],q[6];" );
+    ( "seed139-rand0",
+      "qreg q[10]; cz q[6],q[7]; t q[0]; t q[3]; x q[9]; \
+       cx q[7],q[1]; rz(0.66704456925362676) q[3]; cx q[8],q[1]; \
+       s q[1]; sx q[6]; rz(1.4399827256568807) q[2]; cz q[1],q[5]; \
+       rz(4.4394233491627704) q[1]; s q[7]; cx q[1],q[7]; \
+       cz q[1],q[3]; x q[9]; h q[9]; sx q[0]; h q[2]; \
+       rz(0.52165467089174122) q[1]; s q[3]; s q[1]; x q[0]; \
+       rz(1.1574757232505191) q[2]; cx q[4],q[8]; x q[8]; \
+       cz q[7],q[1]; rz(3.1584599740185566) q[6]; cz q[9],q[4]; \
+       h q[4]; t q[0]; x q[6]; cz q[6],q[8]; s q[6]; cz q[1],q[9]; \
+       cx q[4],q[3]; sx q[7]; x q[0]; cx q[4],q[0]; cz q[5],q[3]; \
+       cx q[6],q[1]; rz(1.3133954940981105) q[3]; x q[7]; \
+       cz q[0],q[3]; t q[0]; t q[3]; cz q[0],q[5]; cx q[6],q[0]; \
+       rz(4.7662135557155745) q[6]; sx q[4];" );
+    ( "seed193-rand0",
+      "qreg q[10]; h q[5]; cx q[7],q[9]; x q[3]; s q[4]; t q[0]; \
+       cz q[0],q[7]; t q[5]; cz q[4],q[0]; \
+       rz(1.079892266003357) q[0]; cz q[5],q[0]; sx q[4]; h q[0]; \
+       s q[8]; t q[0]; rz(1.4971027578292415) q[0]; t q[5]; sx q[4]; \
+       sx q[6]; cz q[8],q[5]; h q[4]; h q[2]; cx q[9],q[3]; s q[7]; \
+       t q[1]; cx q[8],q[4]; h q[3]; x q[7]; cz q[1],q[8]; \
+       cx q[1],q[2]; s q[4]; cz q[9],q[5]; cz q[8],q[2]; \
+       cz q[9],q[8]; rz(0.54892893731228509) q[5]; x q[7]; \
+       rz(5.544830130758764) q[2]; sx q[1]; \
+       rz(3.2702171615280755) q[1]; t q[8]; t q[0]; sx q[5]; \
+       rz(1.8854671982012872) q[9]; sx q[7]; s q[6]; sx q[0]; x q[1]; \
+       cz q[4],q[0]; cz q[7],q[0]; s q[7]; x q[1];" );
+  ]
+
+let test_warm_repeat_reproduces_cold () =
+  let base = Config.default in
+  let config =
+    { base with
+      Config.partition =
+        { base.Config.partition with Epoc_partition.Partition.qubit_limit = 3 } }
+  in
+  List.iter
+    (fun (name, body) ->
+      let engine = Engine.create ~config () in
+      let device =
+        Option.get
+          (Epoc_device.Device.Registry.find (Engine.devices engine) "heavyhex12")
+      in
+      let config = Config.with_device device config in
+      let circuit =
+        Epoc_qasm.Qasm.of_string
+          ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n" ^ body)
+      in
+      let pulse_ir () =
+        let r = Pipeline.compile (Engine.session ~config ~name engine) circuit in
+        Epoc_pulseir.Pulseir.(
+          to_string (export ~device ~name r.Pipeline.schedule))
+      in
+      let cold = pulse_ir () in
+      Alcotest.(check bool) (name ^ ": warm pulse IR byte-identical") true
+        (String.equal cold (pulse_ir ())))
+    warm_repeat_draws
+
 let () =
   Alcotest.run "engine"
     [
@@ -196,6 +276,11 @@ let () =
             test_request_ids;
           Alcotest.test_case "threaded onto results and flight" `Quick
             test_request_id_on_result;
+        ] );
+      ( "warm repeat",
+        [
+          Alcotest.test_case "reproduces the cold schedule" `Quick
+            test_warm_repeat_reproduces_cold;
         ] );
       ( "concurrency",
         [

@@ -197,13 +197,13 @@ let test_exhausted_retries_fallback () =
 let test_deadline_mid_qsearch () =
   let fault = Epoc_fault.parse_exn "deadline:synth0" in
   let config = { Config.default with Config.fault = Some fault } in
-  (* bb84: narrow blocks, so QSearch actually runs (simon's blocks are
-     wider than the search cutoff and would never reach the solver) *)
-  let c = Epoc_benchmarks.Benchmarks.find "bb84" in
+  (* iswap: its first block (synth0) is a 2-qubit block whose direct
+     form a search can beat, so QSearch actually runs there *)
+  let c = Epoc_benchmarks.Benchmarks.find "iswap" in
   let metrics = Epoc_obs.Metrics.create () in
   let r =
     Pipeline.compile
-      (Engine.session ~config ~metrics ~name:"bb84" (Engine.create ~config ()))
+      (Engine.session ~config ~metrics ~name:"iswap" (Engine.create ~config ()))
       c
   in
   Alcotest.(check bool) "synthesis failure recorded" true

@@ -184,6 +184,52 @@ let test_synthesize_block_never_worse () =
   Alcotest.(check bool) "not worse" true
     (Synthesis.cx_count r.Synthesis.circuit <= Synthesis.cx_count direct)
 
+(* --- CNOT lower bound ----------------------------------------------------- *)
+
+let u3 a b c = Gate.matrix (Gate.U3 (a, b, c))
+
+(* [m] between generic single-qubit layers on both sides. *)
+let dressed m =
+  Mat.mul
+    (Mat.kron (u3 0.3 1.1 (-0.7)) (u3 2.1 (-0.4) 0.9))
+    (Mat.mul m (Mat.kron (u3 1.7 0.2 0.5) (u3 (-0.8) 1.3 2.6)))
+
+let test_cnot_lower_bound_named () =
+  let check name expected u =
+    Alcotest.(check int) name expected (Synthesis.cnot_lower_bound u)
+  in
+  let cx01 = Gate.matrix Gate.CX in
+  let cx10 = Circuit.unitary (Circuit.of_ops 2 [ op Gate.CX [ 1; 0 ] ]) in
+  check "identity" 0 (Mat.identity 4);
+  check "local" 0 (dressed (Mat.identity 4));
+  check "cx" 1 cx01;
+  check "dressed cz" 1 (dressed (Gate.matrix Gate.CZ));
+  check "dcx" 2 (Mat.mul cx01 cx10);
+  check "iswap" 2 (Gate.matrix Gate.ISWAP);
+  check "swap" 3 (Gate.matrix Gate.SWAP);
+  let generic =
+    { (Template.root 2) with Template.cnots = [ (0, 1); (1, 0); (0, 1) ] }
+  in
+  let st = Random.State.make [| 3 |] in
+  check "random su(4)" 3
+    (Template.unitary generic
+       (Array.init (Template.param_count generic) (fun _ ->
+            Random.State.float st 6.29)))
+
+(* A CX moved off its class by a YY rotation (a ZZ one would only add
+   local gates), to about 1e-9 from it: the bound must still allow a
+   single CNOT, or a search converging within the threshold could be
+   skipped. *)
+let test_cnot_lower_bound_near_cx () =
+  let cx = Gate.matrix Gate.CX in
+  let near = Mat.mul cx (Gate.matrix (Gate.RYY (sqrt 8e-9))) in
+  let d = Mat.hs_distance cx near in
+  Alcotest.(check bool)
+    (Printf.sprintf "distance %.3g near 1e-9" d)
+    true
+    (d > 5e-10 && d < 2e-9);
+  Alcotest.(check int) "classified with cx" 1 (Synthesis.cnot_lower_bound near)
+
 (* --- qcheck -------------------------------------------------------------- *)
 
 let arb_2q_block =
@@ -210,6 +256,82 @@ let prop_block_synthesis_sound =
       let block = random_2q_block seed in
       let r = Synthesis.synthesize_block ~options:fast_options block in
       Synthesis.verify ~eps:1e-5 block r)
+
+let random_1q_block seed =
+  let st = Random.State.make [| seed |] in
+  let b = Circuit.Builder.create 1 in
+  for _ = 0 to Random.State.int st 6 do
+    match Random.State.int st 4 with
+    | 0 -> Circuit.Builder.add b (Gate.RZ (Random.State.float st 6.2)) [ 0 ]
+    | 1 -> Circuit.Builder.add b (Gate.RX (Random.State.float st 6.2)) [ 0 ]
+    | 2 -> Circuit.Builder.add b Gate.H [ 0 ]
+    | _ -> Circuit.Builder.add b Gate.T [ 0 ]
+  done;
+  Circuit.Builder.to_circuit b
+
+(* Whenever [synthesize_block] skips the search (no search telemetry on a
+   block narrow enough to search), the search it skipped, with the same
+   options and RNG, fails or returns a circuit the acceptance rule —
+   fewer CNOTs, or as many at lower depth — rejects. *)
+let prop_skip_sound =
+  QCheck.Test.make ~name:"skipped searches could not win" ~count:100
+    arb_2q_block (fun seed ->
+      List.for_all
+        (fun block ->
+          let r = Synthesis.synthesize_block ~options:fast_options block in
+          let direct = Synthesis.vug_form block in
+          r.Synthesis.open_max > 0
+          || r.Synthesis.circuit = direct
+             &&
+             match
+               Qsearch.synthesize_r ~options:fast_options
+                 ~rng:(Random.State.make [| 17 |])
+                 (Circuit.unitary block)
+             with
+             | Error _ -> true
+             | Ok o ->
+                 let cx = Synthesis.cx_count o.Qsearch.circuit
+                 and cf = Synthesis.cx_count direct in
+                 cx > cf
+                 || cx = cf
+                    && Circuit.depth o.Qsearch.circuit >= Circuit.depth direct)
+        [ random_2q_block seed; random_1q_block seed ])
+
+(* The bound never exceeds a unitary's CNOT count, also just inside the
+   threshold: a random circuit of m CNOTs (random orientations and U3
+   layers), nudged along a random Hermitian generator to a distance of
+   about 0.9e-8, classifies at most m. *)
+let prop_lower_bound_sound =
+  QCheck.Test.make ~name:"lower bound never exceeds the cnot count"
+    ~count:200 arb_2q_block (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let m = Random.State.int st 3 in
+      let t =
+        { (Template.root 2) with
+          Template.cnots =
+            List.init m (fun _ ->
+                if Random.State.bool st then (0, 1) else (1, 0)) }
+      in
+      let u =
+        Template.unitary t
+          (Array.init (Template.param_count t) (fun _ ->
+               Random.State.float st 6.29))
+      in
+      let g =
+        Mat.init 4 4 (fun _ _ ->
+            Cx.make (Random.State.float st 2.0 -. 1.0)
+              (Random.State.float st 2.0 -. 1.0))
+      in
+      let h = Mat.add g (Mat.adjoint g) in
+      let nudge eps = Mat.mul u (Expm.expi_hermitian h eps) in
+      (* the distance grows as eps² *)
+      let per_eps2 = Mat.hs_distance u (nudge 1e-3) /. 1e-6 in
+      let near = nudge (sqrt (0.9e-8 /. per_eps2)) in
+      let d = Mat.hs_distance u near in
+      if d >= 1e-8 || Synthesis.cnot_lower_bound near > m then
+        QCheck.Test.fail_reportf "m=%d: distance %.3g, bound %d" m d
+          (Synthesis.cnot_lower_bound near);
+      true)
 
 (* A random template (n in {1,2,3}, 0-4 CNOTs in either orientation),
    parameter point and target unitary. *)
@@ -269,7 +391,12 @@ let prop_exact_gradient =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_block_synthesis_sound; prop_exact_gradient ]
+    [
+      prop_block_synthesis_sound;
+      prop_lower_bound_sound;
+      prop_skip_sound;
+      prop_exact_gradient;
+    ]
 
 let () =
   Alcotest.run "synthesis"
@@ -302,6 +429,12 @@ let () =
           Alcotest.test_case "block equivalence" `Quick
             test_synthesize_block_equivalence;
           Alcotest.test_case "never worse" `Quick test_synthesize_block_never_worse;
+        ] );
+      ( "lower bound",
+        [
+          Alcotest.test_case "named unitaries" `Quick
+            test_cnot_lower_bound_named;
+          Alcotest.test_case "near cx" `Quick test_cnot_lower_bound_near_cx;
         ] );
       ("properties", qcheck_cases);
     ]
