@@ -36,9 +36,13 @@ type pulse_job = {
   jid : int; (* batch-order id, names the solve site ("block<jid>") *)
   ju : Mat.t; (* group unitary *)
   jk : int; (* group qubit count *)
-  jqubits : int list; (* the group's global qubits (ascending) — selects
-                         the block hardware model under a device *)
   jlocal : Circuit.t; (* group circuit on local qubits *)
+  jhw : Epoc_qoc.Hardware.t; (* block model of the group's global qubits *)
+  jcontext : string;
+      (* reuse context: [jhw]'s context, "estimate;"-prefixed in estimate
+         mode *)
+  jcanon : Mat.t; (* [ju] under the library's phase convention *)
+  jkey : Digest.t; (* [Library.key ~context:jcontext jcanon] *)
   mutable resolved : (float * float) option; (* (duration, fidelity) *)
   mutable batch_rep : pulse_job option; (* earlier in-batch equivalent *)
   mutable jinit : float array array option;

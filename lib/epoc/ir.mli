@@ -38,10 +38,16 @@ type pulse_job = {
   jid : int;  (** batch-order id, names the solve site ([block<jid>]) *)
   ju : Mat.t;  (** group unitary *)
   jk : int;  (** group qubit count *)
-  jqubits : int list;
-      (** the group's global qubits (ascending) — selects the block
-          hardware model under a configured device *)
   jlocal : Circuit.t;  (** group circuit on local qubits *)
+  jhw : Epoc_qoc.Hardware.t;
+      (** the block hardware model of the group's global qubits *)
+  jcontext : string;
+      (** the reuse context scoping every library and store probe: the
+          [jhw] context, with ["estimate;"] in front in estimate mode *)
+  jcanon : Mat.t;  (** [ju] {!Library.canonicalize}d *)
+  jkey : Digest.t;
+      (** the library bucket, [Library.key ~context:jcontext jcanon];
+          [jhw] to [jkey] are computed once, when the job is built *)
   mutable resolved : (float * float) option;  (** (duration, fidelity) *)
   mutable batch_rep : pulse_job option;  (** earlier in-batch equivalent *)
   mutable jinit : float array array option;

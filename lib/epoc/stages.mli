@@ -53,9 +53,10 @@ val similarity_chain : Mat.t array -> int array
     group at a time, and with [similarity_order] each group a
     sequential chain — and a sequential writeback, which also logs the
     warnings of degraded blocks and failed searches in job order.  Each
-    job's block model comes from [hardware_block] on its global qubits;
-    its [Hardware.context], prefixed with ["estimate;"] in estimate
-    mode, scopes every library and store probe. *)
+    job carries its block model, reuse context, canonical form and
+    library key, computed once when the job was built: its context
+    scopes every library and store probe, and no probe fingerprints the
+    job again. *)
 val resolve_pulses :
   ?request_id:string ->
   ?metrics:Metrics.t ->
@@ -66,7 +67,6 @@ val resolve_pulses :
   Config.t ->
   Pool.t ->
   Library.t ->
-  hardware_block:(int list -> Hardware.t) ->
   Ir.pulse_job list ->
   int * int
 

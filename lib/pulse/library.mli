@@ -7,6 +7,10 @@
     Phase-sensitive matching is kept as an option to reproduce the
     AccQOC/PAQOC behaviour in the ablation benchmark.
 
+    A probe is keyed once: the caller {!canonicalize}s it, takes its
+    {!key} and hands both to {!find} and {!add}, which never fingerprint
+    (the pipeline does this once per pulse job).
+
     All operations are thread-safe.  For coarse-grain parallelism the
     pipeline uses {!fork}/{!absorb}: each candidate works on a private
     copy and the results are merged back in a deterministic order. *)
@@ -37,16 +41,25 @@ val create : ?match_global_phase:bool -> unit -> t
     mismatch. *)
 val match_global_phase : t -> bool
 
-(** Stable content key of a unitary: a digest of the 5-decimal-quantized
-    matrix.  Callers must canonicalize the global phase first when they
-    want phase-invariant keys (the library does this internally). *)
+(** Stable content key of a unitary: the MD5 digest of its entries
+    quantized to 5 decimals, as the text
+
+    ["<rows>x<cols>"] then, per entry in row-major order,
+    ["|<re>,<im>"], each part [Printf.sprintf "%.5f"] of
+    [round(v * 1e5) * 1e-5] with a negative zero printed as
+    ["0.00000"].
+
+    Every persisted pulse-store key rests on this exact text, so it
+    never changes; it is written without [Printf] except for
+    magnitudes of 1e9 and more, nan and inf.  Callers must
+    canonicalize the global phase first when they want phase-invariant
+    keys. *)
 val fingerprint : Mat.t -> Digest.t
 
 (** [u] under the library's matching convention: rotated to the canonical
     global phase when the library matches phases, unchanged otherwise.
-    Probe keys for external fingerprint-keyed indexes (the pipeline's
-    batched resolution, the persistent store) must canonicalize the same
-    way. *)
+    Probes and entries are canonical, and external fingerprint-keyed
+    indexes (the persistent store) canonicalize the same way. *)
 val canonicalize : t -> Mat.t -> Mat.t
 
 (** Whether two unitaries are the same pulse under the library's matching
@@ -61,18 +74,23 @@ val matches : t -> Mat.t -> Mat.t -> bool
     records the same way. *)
 val key : ?context:string -> Mat.t -> Digest.t
 
-(** Lookup, counting a hit or a miss.  The probe is phase-canonicalized
-    when the library matches phases.  [context] (a [Hardware.context],
-    default [""]) scopes the lookup to one hardware model: the same
-    unitary priced on different coupling graphs yields different
-    pulses, so entries never answer across contexts. *)
-val find : ?context:string -> t -> Mat.t -> entry option
+(** [find lib ~key cu] looks up the {!canonicalize}d unitary [cu] in the
+    bucket [key], which must be [key ~context cu]: the caller computes
+    both once per pulse job, and the lookup fingerprints nothing.
+    Counts a hit or a miss.  The [context] (a [Hardware.context], with
+    ["estimate;"] in front for an estimate-mode price) scopes the lookup
+    to one hardware model and mode: the same unitary priced on
+    different coupling graphs yields different pulses, so entries never
+    answer across contexts. *)
+val find : t -> key:Digest.t -> Mat.t -> entry option
 
-(** Insert a pulse for [u] (stored under its canonical phase), under
-    [context] like {!find}. *)
+(** [add ~context lib ~key cu ...] inserts a pulse for the
+    {!canonicalize}d [cu] under [key = key ~context cu], as {!find}
+    expects.  [context] defaults to [""]. *)
 val add :
   ?context:string ->
   t ->
+  key:Digest.t ->
   Mat.t ->
   duration:float ->
   fidelity:float ->
