@@ -52,7 +52,8 @@ module Make (C : CODEC) = struct
     mutable loaded : int; (* valid records read at open *)
     mutable skipped : int; (* unparsable lines skipped at open *)
     mutable merged : int; (* distinct records on disk after last open/flush *)
-    mutable pending : string list; (* serialized records awaiting flush, newest first *)
+    mutable pending : (string * C.entry * string) list;
+        (* (key, entry, line) of the records awaiting flush, newest first *)
   }
 
   let locked t f =
@@ -203,7 +204,7 @@ module Make (C : CODEC) = struct
         let bucket = bucket_of t key in
         if not (in_bucket t bucket e) then begin
           Hashtbl.replace t.table key (bucket @ [ e ]);
-          t.pending <- C.to_line ~key e :: t.pending
+          t.pending <- (key, e, C.to_line ~key e) :: t.pending
         end)
 
   let with_file_lock t f =
@@ -217,11 +218,17 @@ module Make (C : CODEC) = struct
 
   (* Persist pending records.  Under the locks, the record file is re-read
      raw so entries appended by other invocations since [open_dir] survive;
-     our pending lines land after them, minus records the codec considers
-     equal to ones already on disk (an exact-line comparison would let two
-     writers that solved the same unitary to different metadata both land,
-     and the duplicate would inflate every later count).  Disk records that
-     duplicate an earlier disk record are compacted away on the same pass.
+     our pending records land after them, minus records the codec
+     considers equal to ones already on disk (an exact-line comparison
+     would let two writers that solved the same unitary to different
+     metadata both land, and the duplicate would inflate every later
+     count).  Disk records that duplicate an earlier disk record are
+     compacted away on the same pass.  Equality is tested within a key
+     bucket only, as [record] and [load_records] test it: two equal
+     records on different keys (near-tied canonical forms whose
+     quantized fingerprints differ) are both kept, because a probe
+     computes either key and must find its record.  Each disk line is
+     parsed once; pending records are kept with their entries and keys.
      The merged file replaces the old one atomically, and [merged] is the
      number of records it holds. *)
   let flush t =
@@ -232,42 +239,36 @@ module Make (C : CODEC) = struct
         ~finally:(fun () -> Mutex.unlock flush_lock)
         (fun () ->
           with_file_lock t (fun () ->
-              let disk_lines =
+              let disk =
                 match read_lines (path t) with
                 | [] -> []
                 | header :: records -> (
                     match check_header t.match_global_phase header with
                     | Ok () ->
-                        List.filter
-                          (fun l -> Result.is_ok (C.of_line l))
+                        List.filter_map
+                          (fun line ->
+                            match C.of_line line with
+                            | Ok e -> Some (C.key e, e, line)
+                            | Error _ -> None)
                           records
                     | Error _ -> [])
               in
               let eq = C.equal ~match_global_phase:t.match_global_phase in
-              (* Keep the first of every equivalence class, in file order. *)
-              let disk =
-                List.fold_left
-                  (fun kept line ->
-                    match C.of_line line with
-                    | Error _ -> kept
-                    | Ok e ->
-                        if List.exists (fun (_, d) -> eq e d) kept then kept
-                        else kept @ [ (line, e) ])
-                  [] disk_lines
+              (* Keep the first of every equivalence class of a bucket:
+                 disk records in file order, then pending ones. *)
+              let seen : (string, C.entry list) Hashtbl.t = Hashtbl.create 64 in
+              let first (key, e, _) =
+                let bucket =
+                  Option.value ~default:[] (Hashtbl.find_opt seen key)
+                in
+                if List.exists (eq e) bucket then false
+                else begin
+                  Hashtbl.replace seen key (e :: bucket);
+                  true
+                end
               in
-              let fresh =
-                List.fold_left
-                  (fun kept line ->
-                    match C.of_line line with
-                    | Error _ -> kept
-                    | Ok e ->
-                        if
-                          List.exists (fun (_, d) -> eq e d) disk
-                          || List.exists (fun (_, d) -> eq e d) kept
-                        then kept
-                        else kept @ [ (line, e) ])
-                  [] pending
-              in
+              let disk = List.filter first disk in
+              let fresh = List.filter first pending in
               let tmp =
                 Filename.concat t.dir
                   (Printf.sprintf ".%s.tmp.%d" C.records_file (Unix.getpid ()))
@@ -277,7 +278,7 @@ module Make (C : CODEC) = struct
                  output_string oc (header_line t.match_global_phase);
                  output_char oc '\n';
                  List.iter
-                   (fun (l, _) ->
+                   (fun (_, _, l) ->
                      output_string oc l;
                      output_char oc '\n')
                    (disk @ fresh);

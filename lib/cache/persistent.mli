@@ -16,10 +16,13 @@
 
     Flushes re-read the record file under the in-process and on-disk
     locks, merge pending records after whatever other writers appended
-    (dropping records the codec considers equal to ones already on
-    disk), write the merged file to a temp file in the same directory
-    and atomically [Unix.rename] it into place — readers always see
-    either the old or the new complete file.
+    (dropping records the codec considers equal to an earlier record of
+    the same key bucket), write the merged file to a temp file in the
+    same directory and atomically [Unix.rename] it into place — readers
+    always see either the old or the new complete file.  Deduplication
+    is per key bucket everywhere — at load, at {!Make.record} and at
+    flush — so two equal records on different keys both survive: a
+    probe computes one of the keys and must find its record there.
 
     The pulse {!Store} and the synthesis {!Synth_store} are the two
     instances. *)
@@ -52,8 +55,8 @@ module type CODEC = sig
   (** Bucket key of a canonical entry (e.g. fingerprint hex). *)
   val key : entry -> string
 
-  (** Semantic equality of canonical entries, used to deduplicate both
-      in memory and at flush-merge time. *)
+  (** Semantic equality of canonical entries, used to deduplicate
+      within a key bucket, both in memory and at flush-merge time. *)
   val equal : match_global_phase:bool -> entry -> entry -> bool
 
   (** One JSON line per record; [of_line] must never raise. *)
@@ -88,9 +91,10 @@ module Make (C : CODEC) : sig
   val record : t -> C.entry -> unit
 
   (** Persist pending records under the in-process and on-disk locks,
-      merging with concurrent writers' appends; records semantically
-      equal to ones already on disk are dropped rather than duplicated.
-      No-op when nothing is pending. *)
+      merging with concurrent writers' appends; a record semantically
+      equal to an earlier one in its key bucket (on disk, or pending
+      before it) is dropped rather than duplicated.  Each disk line is
+      parsed once.  No-op when nothing is pending. *)
   val flush : t -> unit
 
   (** Number of distinct entries currently held in memory. *)

@@ -483,6 +483,37 @@ let test_merged_count () =
   Alcotest.(check int) "reload agrees" 4 (Store.loaded_count s3);
   rm_rf dir
 
+(* bench:iswap holds blocks whose canonical forms are equal within the
+   matcher's epsilon but quantize to different keys.  A flush that
+   deduplicated across key buckets kept one record of such a pair, and
+   every reopened store then missed the probe that computes the other
+   key (2 hits and 1 miss on each warm run).  Estimate mode, like the
+   CLI default. *)
+let test_near_tied_records_survive_flush () =
+  let dir = tmp_dir "near-tied" in
+  let cfg = { Config.default with Config.cache_dir = Some dir } in
+  let circuit = Epoc_benchmarks.Benchmarks.find "iswap" in
+  let run () =
+    let metrics = M.create () in
+    ignore
+      (Pipeline.compile
+         (Engine.session ~config:cfg ~metrics ~name:"iswap"
+            (Engine.create ~config:cfg ()))
+         circuit);
+    metrics
+  in
+  let cold = run () in
+  let misses = M.counter_value cold "cache.misses" in
+  Alcotest.(check bool) "cold run misses" true (misses > 0);
+  let warm = run () in
+  Alcotest.(check int) "reopened store answers every probe" 0
+    (M.counter_value warm "cache.misses");
+  Alcotest.(check int) "one hit per cold miss" misses
+    (M.counter_value warm "cache.hits");
+  Alcotest.(check int) "one record per cold miss" misses
+    (Store.loaded_count (Store.open_dir dir));
+  rm_rf dir
+
 (* --- synthesis store --------------------------------------------------------- *)
 
 module Synth_store = Epoc_cache.Synth_store
@@ -744,6 +775,8 @@ let () =
           Alcotest.test_case "nearest neighbor" `Quick test_nearest;
           Alcotest.test_case "merged-entry accounting" `Quick
             test_merged_count;
+          Alcotest.test_case "near-tied records survive a flush" `Quick
+            test_near_tied_records_survive_flush;
           Alcotest.test_case "context scoping" `Quick test_context_scoping;
           Alcotest.test_case "recalibrated device" `Quick
             test_recalibrated_device;
