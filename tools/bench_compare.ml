@@ -206,8 +206,10 @@ let compare_micro gate base cand =
 
 (* synth_cache_sweep (v3+): a correctness gate on the candidate alone —
    the warm run must replay the cold schedule exactly (identical
-   latency/ESP), hit the store, and never enter QSearch.  Skipped when
-   the candidate predates the section. *)
+   latency/ESP), hit the store, and never enter QSearch: no expansions,
+   and no searches where the row counts them ([qsearch_runs]; a search
+   that solves at the root expands nothing).  Skipped when the
+   candidate predates the section. *)
 let check_synth_sweep gate cand =
   match Option.bind (J.member "synth_cache_sweep" cand) J.to_list with
   | None -> ()
@@ -235,8 +237,10 @@ let check_synth_sweep gate cand =
           (match side "warm" "synth_cache_hits" with
           | Some h when h <= 0.0 -> fail "warm run missed the synthesis cache"
           | _ -> ());
-          match side "warm" "qsearch_expansions" with
-          | Some e when e > 0.0 -> fail "warm run still ran QSearch"
+          match (side "warm" "qsearch_expansions", side "warm" "qsearch_runs")
+          with
+          | Some e, _ when e > 0.0 -> fail "warm run still ran QSearch"
+          | _, Some n when n > 0.0 -> fail "warm run still ran QSearch"
           | _ -> ())
         rows
 
