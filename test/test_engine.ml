@@ -94,6 +94,36 @@ let test_session_library_convention () =
   Alcotest.(check bool) "private library follows the session config" false
     (Library.match_global_phase (Engine.session_library s_sensitive))
 
+(* The engine library is shared across reuse contexts — block models
+   and QoC modes — and its entries answer only their own context's
+   probes (each job's library key covers its context).  So a compile
+   after another context's compile on the same engine sees the library
+   traffic of a compile on a fresh engine. *)
+let test_library_context_scoping () =
+  let grid3x3 =
+    Config.with_device (Epoc_device.Device.grid ~rows:3 ~cols:3 ())
+      Config.default
+  in
+  List.iter
+    (fun (label, name, first, second) ->
+      let c = Epoc_benchmarks.Benchmarks.find name in
+      let stats e config =
+        (Pipeline.compile (Engine.session ~config ~name e) c)
+          .Pipeline.library_stats
+      in
+      let shared = Engine.create () in
+      let before = stats shared first in
+      let after = stats shared second in
+      let fresh = stats (Engine.create ()) second in
+      Alcotest.(check int) (label ^ ": hits") fresh.Library.hits
+        (after.Library.hits - before.Library.hits);
+      Alcotest.(check int) (label ^ ": misses") fresh.Library.misses
+        (after.Library.misses - before.Library.misses))
+    [
+      ("grid3x3 after the default model", "qaoa", Config.default, grid3x3);
+      ("GRAPE after estimate", "bb84", Config.default, Config.grape);
+    ]
+
 (* request ids are engine-scoped, unique and threaded session -> ctx ->
    result; an explicit id overrides the engine's counter *)
 let test_request_ids () =
@@ -269,6 +299,8 @@ let () =
             test_hardware_memo;
           Alcotest.test_case "session library convention" `Quick
             test_session_library_convention;
+          Alcotest.test_case "library entries answer their own context" `Quick
+            test_library_context_scoping;
         ] );
       ( "request ids",
         [
