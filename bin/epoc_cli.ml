@@ -284,7 +284,7 @@ let report (r : Epoc.Pipeline.result) show =
     r.Epoc.Pipeline.library_stats.Epoc_pulse.Library.entries
     r.Epoc.Pipeline.library_stats.Epoc_pulse.Library.hits
     r.Epoc.Pipeline.library_stats.Epoc_pulse.Library.misses
-    (match r.Epoc.Pipeline.library_stats.Epoc_pulse.Library.cache_hits with
+    (match M.counter_value r.Epoc.Pipeline.metrics "cache.hits" with
     | 0 -> ""
     | c -> Printf.sprintf " (%d from persistent cache)" c);
   (let m = r.Epoc.Pipeline.metrics in

@@ -7,12 +7,14 @@
      lock             advisory lock file serializing flushes across processes
      .<records_file>.tmp.<pid>   transient; flushes write here, then rename
 
-   The header line carries {"format", "schema_version", "match_global_phase"};
-   a version or phase-convention mismatch makes the store start empty (with
-   a warning) rather than mis-read foreign records.  Records are one JSON
-   object per line, so a crash mid-write can only damage the trailing
-   record; loading skips any unparsable line with a warning and never
-   raises.  Flushes re-read the file under the file lock, merge the
+   The header line carries {"format", "schema_version"}; a format or
+   version mismatch makes the store start empty (with a warning) rather
+   than mis-read foreign records.  The "match_global_phase" field older
+   headers carry is neither written nor checked: no instance has a
+   matching convention of its own (store.ml argues why the pulse store
+   needs none).  Records are one JSON object per line, so a crash
+   mid-write can only damage the trailing record; loading skips any
+   unparsable line with a warning and never raises.  Flushes re-read the file under the file lock, merge the
    pending records after whatever other writers appended, write the merged
    file to a temp file in the same directory and [Unix.rename] it into
    place — readers always see either the old or the new complete file.
@@ -38,7 +40,7 @@ module type CODEC = sig
   val schema_version : int
   val records_file : string
   val key : entry -> string
-  val equal : match_global_phase:bool -> entry -> entry -> bool
+  val equal : entry -> entry -> bool
   val to_line : key:string -> entry -> string
   val of_line : string -> (entry, string) result
 end
@@ -46,7 +48,6 @@ end
 module Make (C : CODEC) = struct
   type t = {
     dir : string;
-    match_global_phase : bool;
     lock : Mutex.t;
     table : (string, C.entry list) Hashtbl.t; (* key -> bucket *)
     mutable loaded : int; (* valid records read at open *)
@@ -65,37 +66,32 @@ module Make (C : CODEC) = struct
   let flush_lock = Mutex.create ()
 
   let dir t = t.dir
-  let match_global_phase t = t.match_global_phase
   let path t = Filename.concat t.dir C.records_file
 
-  let header_line match_global_phase =
+  let header_line =
     Json.to_string
       (Json.Obj
          [
            ("format", Json.Str C.format_name);
            ("schema_version", Json.of_int C.schema_version);
-           ("match_global_phase", Json.Bool match_global_phase);
          ])
 
   (* Header check: [Ok ()] to use the records, [Error reason] to ignore the
      file's contents (the next flush rewrites it under the current header). *)
-  let check_header match_global_phase line =
+  let check_header line =
     match Json.parse line with
     | Error m -> Error ("unreadable header: " ^ m)
     | Ok j -> (
         match
           ( Option.bind (Json.member "format" j) Json.to_str,
-            Option.bind (Json.member "schema_version" j) Json.to_int,
-            Json.member "match_global_phase" j )
+            Option.bind (Json.member "schema_version" j) Json.to_int )
         with
-        | Some f, _, _ when f <> C.format_name -> Error ("foreign format " ^ f)
-        | _, Some v, _ when v <> C.schema_version ->
+        | Some f, _ when f <> C.format_name -> Error ("foreign format " ^ f)
+        | _, Some v when v <> C.schema_version ->
             Error
               (Printf.sprintf "schema_version %d (this build speaks %d)" v
                  C.schema_version)
-        | _, None, _ -> Error "missing schema_version"
-        | _, _, Some (Json.Bool p) when p <> match_global_phase ->
-            Error "different global-phase matching convention"
+        | _, None -> Error "missing schema_version"
         | _ -> Ok ())
 
   (* --- open / load --------------------------------------------------------- *)
@@ -116,8 +112,7 @@ module Make (C : CODEC) = struct
 
   let bucket_of t key = Option.value ~default:[] (Hashtbl.find_opt t.table key)
 
-  let in_bucket t bucket e =
-    List.exists (C.equal ~match_global_phase:t.match_global_phase e) bucket
+  let in_bucket bucket e = List.exists (C.equal e) bucket
 
   (* Load every valid record line; unparsable lines (a torn trailing write,
      manual editing) are counted and skipped, never fatal.  Records the
@@ -125,11 +120,13 @@ module Make (C : CODEC) = struct
      in-memory entry, so [entry_count] counts distinct entries even over a
      store written before flush-time deduplication existed.
 
-     Parsed entries are keyed as-is, NOT re-canonicalized: they were
-     recorded in canonical form, and phase canonicalization is only
-     equivalence-class canonical, not bit-idempotent (re-phasing an
-     already-canonical matrix perturbs float bits and can flip the
-     quantized fingerprint key, making every probe miss after reopen). *)
+     Parsed entries are keyed by [C.key] as read, which is the key they
+     were recorded under: a record holds the entry its key was computed
+     from.  Nothing puts them in another form first: phase
+     canonicalization is only equivalence-class canonical, not
+     bit-idempotent (re-phasing an already-canonical matrix perturbs
+     float bits and can flip the quantized fingerprint key, making every
+     probe miss after reopen). *)
   let load_records t lines =
     List.iteri
       (fun i line ->
@@ -137,7 +134,7 @@ module Make (C : CODEC) = struct
         | Ok e ->
             let key = C.key e in
             let bucket = bucket_of t key in
-            if not (in_bucket t bucket e) then
+            if not (in_bucket bucket e) then
               Hashtbl.replace t.table key (bucket @ [ e ]);
             t.loaded <- t.loaded + 1
         | Error m ->
@@ -150,12 +147,11 @@ module Make (C : CODEC) = struct
   let entry_count_unlocked t =
     Hashtbl.fold (fun _ b acc -> acc + List.length b) t.table 0
 
-  let open_dir ?(match_global_phase = true) dir =
+  let open_dir dir =
     mkdir_p dir;
     let t =
       {
         dir;
-        match_global_phase;
         lock = Mutex.create ();
         table = Hashtbl.create 64;
         loaded = 0;
@@ -167,7 +163,7 @@ module Make (C : CODEC) = struct
     (match read_lines (path t) with
     | [] -> ()
     | header :: records -> (
-        match check_header match_global_phase header with
+        match check_header header with
         | Ok () -> load_records t records
         | Error reason ->
             Log.warn (fun f ->
@@ -198,11 +194,10 @@ module Make (C : CODEC) = struct
 
   (* --- recording / flush ----------------------------------------------------- *)
 
-  let record t e =
-    let key = C.key e in
+  let record t ~key e =
     locked t (fun () ->
         let bucket = bucket_of t key in
-        if not (in_bucket t bucket e) then begin
+        if not (in_bucket bucket e) then begin
           Hashtbl.replace t.table key (bucket @ [ e ]);
           t.pending <- (key, e, C.to_line ~key e) :: t.pending
         end)
@@ -243,7 +238,7 @@ module Make (C : CODEC) = struct
                 match read_lines (path t) with
                 | [] -> []
                 | header :: records -> (
-                    match check_header t.match_global_phase header with
+                    match check_header header with
                     | Ok () ->
                         List.filter_map
                           (fun line ->
@@ -253,7 +248,6 @@ module Make (C : CODEC) = struct
                           records
                     | Error _ -> [])
               in
-              let eq = C.equal ~match_global_phase:t.match_global_phase in
               (* Keep the first of every equivalence class of a bucket:
                  disk records in file order, then pending ones. *)
               let seen : (string, C.entry list) Hashtbl.t = Hashtbl.create 64 in
@@ -261,7 +255,7 @@ module Make (C : CODEC) = struct
                 let bucket =
                   Option.value ~default:[] (Hashtbl.find_opt seen key)
                 in
-                if List.exists (eq e) bucket then false
+                if List.exists (C.equal e) bucket then false
                 else begin
                   Hashtbl.replace seen key (e :: bucket);
                   true
@@ -275,7 +269,7 @@ module Make (C : CODEC) = struct
               in
               let oc = open_out_bin tmp in
               (try
-                 output_string oc (header_line t.match_global_phase);
+                 output_string oc header_line;
                  output_char oc '\n';
                  List.iter
                    (fun (_, _, l) ->

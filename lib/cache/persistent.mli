@@ -7,10 +7,11 @@
     - [C.records_file] — a versioned JSON header line followed by one
       JSON record per line.  Loading skips any unparsable line with a
       warning (a torn trailing write can only damage one record) and a
-      header mismatch — foreign format, different schema version,
-      different global-phase convention — makes the store start empty
-      rather than mis-read foreign records (quarantine: the next flush
-      rewrites the file under the current header).
+      header mismatch — foreign format or different schema version —
+      makes the store start empty rather than mis-read foreign records
+      (quarantine: the next flush rewrites the file under the current
+      header).  The header is [format] and [schema_version]; the
+      [match_global_phase] field older headers carry is ignored.
     - [lock] — advisory lock file ([Unix.lockf]) serializing flushes
       between concurrent processes.
 
@@ -31,13 +32,10 @@
 val log_src : Logs.src
 
 (** What a concrete store must supply: the entry type, the on-disk
-    identity of the format, and keying, convention-aware equality and
-    (de)serialization.  [match_global_phase] is threaded through
-    because both current instances key matrices by the
-    global-phase-canonical {!Epoc_pulse.Library.fingerprint} and must
-    agree with the library convention of the run they serve; putting
-    entries in canonical form is the instance's job, before
-    {!Make.record}. *)
+    identity of the format, and keying, equality and
+    (de)serialization.  The store has no matching convention of its
+    own: an entry is recorded under the key its caller computed from
+    it, so a bucket only holds entries that key alike. *)
 module type CODEC = sig
   type entry
 
@@ -52,12 +50,13 @@ module type CODEC = sig
   (** Record file name under the store directory. *)
   val records_file : string
 
-  (** Bucket key of a canonical entry (e.g. fingerprint hex). *)
+  (** Bucket key of an entry read from disk: the key it was recorded
+      under. *)
   val key : entry -> string
 
-  (** Semantic equality of canonical entries, used to deduplicate
-      within a key bucket, both in memory and at flush-merge time. *)
-  val equal : match_global_phase:bool -> entry -> entry -> bool
+  (** Semantic equality of entries, used to deduplicate within a key
+      bucket, both in memory and at flush-merge time. *)
+  val equal : entry -> entry -> bool
 
   (** One JSON line per record; [of_line] must never raise. *)
   val to_line : key:string -> entry -> string
@@ -70,13 +69,10 @@ module Make (C : CODEC) : sig
 
   (** [open_dir dir] creates [dir] if needed and loads every valid
       record from it, deduplicating semantically equal records into one
-      in-memory entry.  [match_global_phase] (default [true]) selects
-      the matching convention and must agree with the library the store
-      backs. *)
-  val open_dir : ?match_global_phase:bool -> string -> t
+      in-memory entry. *)
+  val open_dir : string -> t
 
   val dir : t -> string
-  val match_global_phase : t -> bool
 
   (** First entry in [key]'s bucket satisfying the predicate. *)
   val find : t -> key:string -> (C.entry -> bool) -> C.entry option
@@ -84,11 +80,12 @@ module Make (C : CODEC) : sig
   (** Fold over every in-memory entry, in unspecified order. *)
   val fold : t -> init:'a -> (C.entry -> 'a -> 'a) -> 'a
 
-  (** Key and queue a canonical entry for persistence (no-op if the
-      codec says an equal entry is already held).  The entry is keyed
-      as given, like a loaded record.  Thread-safe; nothing touches the
-      disk until {!flush}. *)
-  val record : t -> C.entry -> unit
+  (** [record t ~key e] queues [e] for persistence under [key], which
+      must be [C.key e] (no-op if the codec says an equal entry is
+      already held in that bucket).  Callers pass the key they already
+      computed for their probe, so recording keys nothing.  Thread-safe;
+      nothing touches the disk until {!flush}. *)
+  val record : t -> key:string -> C.entry -> unit
 
   (** Persist pending records under the in-process and on-disk locks,
       merging with concurrent writers' appends; a record semantically

@@ -2,20 +2,38 @@
 
    EPOC's in-memory library only amortizes GRAPE work *within* one
    compilation; AccQOC-style pre-generated caches amortize it across
-   runs.  A [Store.t] mirrors the library's keying — the quantized,
-   global-phase-canonical [Library.fingerprint] — onto an append-only
-   record file so a second `epoc` invocation on the same (or a similar)
-   circuit starts from the previous run's pulses.
+   runs.  A [Store.t] persists the library's own entries
+   ([Library.entry]) under the library's own bucket keys onto an
+   append-only record file, so a second `epoc` invocation on the same
+   (or a similar) circuit starts from the previous run's pulses.  The
+   key is the one the [pulses] pass computed for the pulse job
+   ([Ir.pulse_job.jkey] = [Library.key ~context cu]), and no store call
+   canonicalizes or fingerprints: [find] takes that key and the session
+   library's matcher, [nearest] the job's canonical form, and [record] /
+   [absorb_library] the bucket key the entry already sits under, so a
+   hit enters the library as the stored entry itself.
 
-   Every record carries the reuse context of its entry, keyed like the
-   library ([Library.key]): the [Hardware.context] of the model its
-   pulse was solved on, prefixed with ["estimate;"] for an estimate-mode
-   price.  [""] (a GRAPE pulse on the default chain) keys by the bare
-   fingerprint.  Queries answer only within one context, so an
-   estimate never answers a GRAPE probe or the reverse, and a device
-   block's pulse never answers a default-chain probe, the reverse, or a
-   probe on another calibration of the same device name (device
-   contexts carry a digest of the device).
+   Every record carries the reuse context of its entry: the
+   [Hardware.context] of the model its pulse was solved on, prefixed
+   with ["estimate;"] for an estimate-mode price.  [""] (a GRAPE pulse
+   on the default chain) keys by the bare fingerprint.  Queries answer
+   only within one context, so an estimate never answers a GRAPE probe
+   or the reverse, and a device block's pulse never answers a
+   default-chain probe, the reverse, or a probe on another calibration
+   of the same device name (device contexts carry a digest of the
+   device).
+
+   The store has no phase convention of its own.  Every record sits
+   under the fingerprint of the matrix it holds, so a probe only meets
+   records whose matrices quantize like its own: for a phase-invariant
+   probe (canonical phase) that is its phase class, and for a
+   phase-sensitive probe (the AccQOC/PAQOC configs) the quantization
+   includes the phase, so a record for X never answers such a probe for
+   iX.  Within the bucket the session library's [matches] decides, as
+   it does for the library itself.  Deduplication compares up to global
+   phase (the codec's [equal]), which only ever merges records of one
+   bucket: matrices that agree to the fingerprint's 5 decimals, phase
+   included.
 
    All of the JSONL mechanics — versioned header, quarantine on header
    mismatch, torn-trailing-record skip, lockf + mutex flush locking,
@@ -30,14 +48,6 @@ module Json = Epoc_obs.Json
 
 let log_src = Persistent.log_src
 let schema_version = 3
-
-type entry = {
-  unitary : Mat.t; (* canonical-phase representative *)
-  duration : float; (* ns *)
-  fidelity : float;
-  pulse : Epoc_qoc.Grape.pulse option; (* control amplitudes, for warm starts *)
-  context : string; (* reuse context (see the header) *)
-}
 
 (* --- (de)serialization ---------------------------------------------------- *)
 
@@ -84,28 +94,26 @@ let pulse_of_json j =
           }
   | _ -> None
 
-let entry_matches ~match_global_phase (stored : Mat.t) probe =
-  if match_global_phase then Mat.equal_up_to_phase ~eps:1e-6 stored probe
-  else Mat.approx_equal ~eps:1e-6 stored probe
-
 module Codec = struct
-  type nonrec entry = entry
+  type entry = Library.entry
 
   let format_name = "epoc-pulse-cache"
   let schema_version = schema_version
   let records_file = "pulses.jsonl"
 
-  let key e = Digest.to_hex (Library.key ~context:e.context e.unitary)
+  (* Keys are the library's raw digests; the record line holds their
+     hex. *)
+  let key (e : entry) = Library.key ~context:e.context e.unitary
 
-  let equal ~match_global_phase a b =
+  let equal (a : entry) (b : entry) =
     a.context = b.context
-    && entry_matches ~match_global_phase a.unitary b.unitary
+    && Mat.equal_up_to_phase ~eps:1e-6 a.unitary b.unitary
 
   let to_line ~key (e : entry) =
     Json.to_string
       (Json.Obj
          [
-           ("key", Json.Str key);
+           ("key", Json.Str (Digest.to_hex key));
            ("context", Json.Str e.context);
            ("dim", Json.of_int (Mat.rows e.unitary));
            ("duration", Json.Num e.duration);
@@ -136,7 +144,7 @@ module Codec = struct
                   | None | Some Json.Null -> None
                   | Some pj -> pulse_of_json pj
                 in
-                Ok { unitary; duration; fidelity; pulse; context })
+                Ok { Library.unitary; duration; fidelity; pulse; context })
         | _ -> Error "missing record fields")
 end
 
@@ -154,23 +162,17 @@ let loaded_count = P.loaded_count
 let skipped_count = P.skipped_count
 let merged_count = P.merged_count
 
-let canonical t u =
-  if P.match_global_phase t then Mat.canonical_phase u else u
-
-let find ?(context = "") t (u : Mat.t) =
-  let cu = canonical t u in
-  P.find t ~key:(Digest.to_hex (Library.key ~context cu)) (fun e ->
-      entry_matches ~match_global_phase:(P.match_global_phase t) e.unitary cu)
+let find t ~key ~matches (cu : Mat.t) =
+  P.find t ~key (fun (e : Library.entry) -> matches e.unitary cu)
 
 (* Closest stored pulse of the same dimension and context under the
    global-phase-invariant Hilbert-Schmidt distance; only entries that
    carry control amplitudes qualify (the point is seeding GRAPE).
    [max_distance] bounds how dissimilar a warm start may be — past it, a
    random cold start converges just as fast. *)
-let nearest ?(context = "") ?(max_distance = 0.15) t (u : Mat.t) =
-  let cu = canonical t u in
+let nearest ?(context = "") ?(max_distance = 0.15) t (cu : Mat.t) =
   let dim = Mat.rows cu in
-  P.fold t ~init:None (fun e best ->
+  P.fold t ~init:None (fun (e : Library.entry) best ->
       if e.pulse = None || Mat.rows e.unitary <> dim || e.context <> context
       then best
       else
@@ -182,26 +184,12 @@ let nearest ?(context = "") ?(max_distance = 0.15) t (u : Mat.t) =
 
 (* --- recording / flush ----------------------------------------------------- *)
 
-let record ?(context = "") t (u : Mat.t) ~duration ~fidelity ?pulse () =
-  P.record t { unitary = canonical t u; duration; fidelity; pulse; context }
+let record = P.record
 
-(* Queue every library entry the store does not already hold.  Called at
-   pipeline end, after the candidate forks have been absorbed back into
-   the shared library, so one flush persists the whole run's new pulses.
-   Under a shared phase convention the entries are already canonical and
-   are recorded as-is: re-canonicalizing is not bit-idempotent and could
-   move a near-tied entry onto a key no probe computes. *)
+(* Queue every library entry the store does not already hold, under its
+   library bucket key: the key its probe computed, so the warm run's
+   probes compute exactly the stored keys. *)
 let absorb_library t (lib : Library.t) =
-  let same = Library.match_global_phase lib = P.match_global_phase t in
-  Library.fold_entries lib ~init:() (fun (e : Library.entry) () ->
-      let u = e.Library.unitary in
-      P.record t
-        {
-          unitary = (if same then u else canonical t u);
-          duration = e.Library.duration;
-          fidelity = e.Library.fidelity;
-          pulse = e.Library.pulse;
-          context = e.Library.context;
-        })
+  Library.fold_entries lib ~init:() (fun key e () -> record t ~key e)
 
 let flush = P.flush

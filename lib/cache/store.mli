@@ -1,10 +1,13 @@
 (** Persistent pulse store: the crash-safe on-disk half of the pulse library.
 
-    A store maps the quantized, global-phase-canonical
-    {!Epoc_pulse.Library.key} of a unitary under a hardware context to
-    previously synthesized pulses, so a second [epoc] invocation reuses
-    the first one's GRAPE results (exact hits) or starts GRAPE from a
-    similar cached pulse (near hits).  Every record carries the reuse
+    A store holds {!Epoc_pulse.Library.entry} values under the
+    library's own bucket keys ({!Epoc_pulse.Library.key} of the
+    canonical unitary under its reuse context), so a second [epoc]
+    invocation reuses the first one's GRAPE results (exact hits) or
+    starts GRAPE from a similar cached pulse (near hits).  Callers hand
+    over the key they already computed for a pulse job; no store call
+    canonicalizes or fingerprints, and a hit is the stored entry itself,
+    ready for {!Epoc_pulse.Library.add}.  Every record carries the reuse
     context of its entry: the [Hardware.context] of the model its pulse
     was solved on ([""] for the default chain, whose keys are the bare
     fingerprints), prefixed with ["estimate;"] for an estimate-mode
@@ -12,17 +15,24 @@
     pulse never answers a probe on another model, and an estimate never
     answers a GRAPE probe or the reverse.
 
+    The store has no phase convention of its own: every record sits
+    under the fingerprint of the matrix it holds, so a probe meets only
+    records that quantize like its own matrix — its phase class for a
+    phase-invariant probe, and for a phase-sensitive probe (AccQOC/PAQOC
+    configs) its phase too — and the session library's
+    {!Epoc_pulse.Library.matches} decides within the bucket.
+
     On-disk format, under the store directory:
 
     - [pulses.jsonl] — a versioned JSON header line followed by one JSON
       record per line.  Loading skips any unparsable line with a warning
       (a torn trailing write can only damage one record) and a header
-      mismatch — foreign format, different [schema_version], different
-      global-phase convention — makes the store start empty rather than
-      mis-read the records (a schema-1 file, written before records
-      carried a context, or a schema-2 file, whose estimate records
-      share the GRAPE records' contexts, is discarded once and
-      refills).
+      mismatch — foreign format or different [schema_version] — makes
+      the store start empty rather than mis-read the records (a schema-1
+      file, written before records carried a context, or a schema-2
+      file, whose estimate records share the GRAPE records' contexts, is
+      discarded once and refills).  The header's [match_global_phase]
+      field, written by older builds, is ignored.
     - [lock] — advisory lock file ([Unix.lockf]) serializing flushes
       between concurrent [epoc] processes.
 
@@ -43,62 +53,46 @@ val schema_version : int
 (** [Logs] source for cache messages ("epoc.cache"). *)
 val log_src : Logs.src
 
-type entry = {
-  unitary : Mat.t;  (** canonical-phase representative *)
-  duration : float;  (** ns *)
-  fidelity : float;
-  pulse : Epoc_qoc.Grape.pulse option;
-      (** control amplitudes, for warm starts *)
-  context : string;
-      (** reuse context: the [Hardware.context] the pulse was solved on,
-          ["estimate;"]-prefixed for an estimate-mode price *)
-}
-
 type t
 
 (** [open_dir dir] creates [dir] if needed and loads every valid record
-    from it.  [match_global_phase] (default [true]) selects the matching
-    convention and must agree with the library the store backs; a store
-    written under the other convention is ignored (and rewritten on the
-    next flush). *)
-val open_dir : ?match_global_phase:bool -> string -> t
+    from it. *)
+val open_dir : string -> t
 
-(** Exact lookup: the stored entry under [context] (default [""])
-    whose unitary matches [u] (up to global phase when the store matches
-    phases), if any. *)
-val find : ?context:string -> t -> Mat.t -> entry option
+(** [find t ~key ~matches cu] is the stored entry in bucket [key] whose
+    unitary [matches] the probe's canonical form [cu], if any: [key]
+    and [cu] are the pulse job's key and canonical form, [matches] the
+    session library's {!Epoc_pulse.Library.matches}. *)
+val find :
+  t ->
+  key:Digest.t ->
+  matches:(Mat.t -> Mat.t -> bool) ->
+  Mat.t ->
+  Library.entry option
 
 (** Closest stored pulse of the same dimension under [context] (default
-    [""]) and the global-phase-invariant Hilbert-Schmidt distance, for
-    seeding GRAPE.  Only entries carrying control amplitudes qualify.
-    [max_distance] (default 0.15) bounds how dissimilar a warm start
-    may be. *)
+    [""]) and the global-phase-invariant Hilbert-Schmidt distance to
+    the probe's canonical form, for seeding GRAPE.  Only entries
+    carrying control amplitudes qualify.  [max_distance] (default 0.15)
+    bounds how dissimilar a warm start may be. *)
 val nearest :
   ?context:string ->
   ?max_distance:float ->
   t ->
   Mat.t ->
-  (entry * float) option
+  (Library.entry * float) option
 
-(** Queue a pulse solved under [context] (default [""]) for persistence
-    (no-op if an equal unitary is already stored under that context).
-    Thread-safe; nothing touches the disk until {!flush}. *)
-val record :
-  ?context:string ->
-  t ->
-  Mat.t ->
-  duration:float ->
-  fidelity:float ->
-  ?pulse:Epoc_qoc.Grape.pulse ->
-  unit ->
-  unit
+(** [record t ~key e] queues [e] for persistence under its library
+    bucket key [key = Library.key ~context:e.context e.unitary] (no-op
+    if an entry equal up to global phase is already held in that
+    bucket).  Thread-safe; nothing touches the disk until {!flush}. *)
+val record : t -> key:Digest.t -> Library.entry -> unit
 
 (** Queue every library entry the store does not already hold, under
-    the entry's context.  Called at pipeline end, after candidate forks
-    were absorbed, so one {!flush} persists the whole run's new pulses.
-    When library and store share the phase convention, entries are
-    recorded as-is (they are already canonical), so the warm run's
-    probes compute exactly the stored keys. *)
+    the bucket key the library holds it under.  Called at pipeline end,
+    after candidate forks were absorbed, so one {!flush} persists the
+    whole run's new pulses, and the warm run's probes compute exactly
+    the stored keys. *)
 val absorb_library : t -> Library.t -> unit
 
 (** Persist pending records under the in-process and on-disk locks,

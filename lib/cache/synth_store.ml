@@ -180,7 +180,7 @@ module Codec = struct
   let schema_version = schema_version
   let records_file = "synth.jsonl"
   let key e = block_key e.block
-  let equal ~match_global_phase:_ a b = same_block a.block b.block
+  let equal a b = same_block a.block b.block
 
   let to_line ~key (e : entry) =
     Json.to_string
@@ -246,7 +246,7 @@ let find t (block : Circuit.t) =
 
 let record t (block : Circuit.t) (r : Synthesis.block_result) =
   if r.Synthesis.failure = None then
-    P.record t
+    P.record t ~key:(block_key block)
       {
         block;
         circuit = r.Synthesis.circuit;

@@ -45,7 +45,7 @@ type t = {
 }
 
 (* [config] seeds the engine-owned resources: the store directories and
-   the phase-matching convention of the library and stores.  The config
+   the phase-matching convention of the library.  The config
    itself is *not* stored — it is a per-session value, so one engine can
    serve requests compiled under different configs (modes, deadlines). *)
 let create ?(config = Config.default) ?domains ?pool ?library ?cache ?synth ()
@@ -62,12 +62,7 @@ let create ?(config = Config.default) ?domains ?pool ?library ?cache ?synth ()
   let cache =
     match cache with
     | Some _ as c -> c
-    | None ->
-        Option.map
-          (fun dir ->
-            Store.open_dir ~match_global_phase:config.Config.match_global_phase
-              dir)
-          config.Config.cache_dir
+    | None -> Option.map Store.open_dir config.Config.cache_dir
   in
   let synth =
     match synth with

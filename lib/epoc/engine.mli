@@ -24,7 +24,7 @@ type t
 
 (** [create ()] builds an engine.  [config] seeds the engine-owned
     resources — the store directories ([cache_dir], [synth_cache_dir])
-    and the phase-matching convention of the library and stores — but
+    and the phase-matching convention of the library — but
     is not retained: configs are per-session values, so one engine
     serves requests compiled under different modes and deadlines.
     [domains] sizes the pool (when no [pool] is given); explicit

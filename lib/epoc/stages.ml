@@ -351,33 +351,33 @@ let list_schedule (items : (Schedule.instruction * Circuit.op list) list) =
 let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
     ?(budget = Epoc_budget.unlimited) (config : Config.t) pool library jobs =
   let record f = Option.iter f metrics in
-  (* Library miss: try the persistent store.  [true] = the store resolved
-     the job (entry copied into the library), so it is not a rep. *)
+  (* Library miss: try the persistent store under the job's key.  [true]
+     = the store resolved the job (the stored entry enters the library),
+     so it is not a rep. *)
   let consult_cache (j : Ir.pulse_job) =
-    let context = j.Ir.jcontext in
     match cache with
     | None -> false
     | Some store -> (
-        match Store.find ~context store j.Ir.ju with
+        match
+          Store.find store ~key:j.Ir.jkey ~matches:(Library.matches library)
+            j.Ir.jcanon
+        with
         | Some e ->
             record (fun m -> Metrics.incr m "cache.hits");
-            Library.note_cache_hit library;
-            Library.add ~context library ~key:j.Ir.jkey j.Ir.jcanon
-              ~duration:e.Store.duration ~fidelity:e.Store.fidelity
-              ?pulse:e.Store.pulse ();
-            j.Ir.resolved <- Some (e.Store.duration, e.Store.fidelity);
-            j.Ir.jpulse <- e.Store.pulse;
+            Library.add library ~key:j.Ir.jkey e;
+            j.Ir.resolved <- Some (e.Library.duration, e.Library.fidelity);
+            j.Ir.jpulse <- e.Library.pulse;
             true
         | None ->
             record (fun m -> Metrics.incr m "cache.misses");
             (if config.Config.qoc_mode = Config.Grape then
-               match Store.nearest ~context store j.Ir.ju with
+               match Store.nearest ~context:j.Ir.jcontext store j.Ir.jcanon with
                | Some (e, _) ->
                    record (fun m -> Metrics.incr m "cache.near_hits");
                    j.Ir.jinit <-
                      Option.map
                        (fun (p : Grape.pulse) -> p.Grape.amplitudes)
-                       e.Store.pulse
+                       e.Library.pulse
                | None -> ());
             false)
   in
@@ -525,9 +525,14 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
             j.Ir.jretries <- r.Ir.jr_retries;
             if r.Ir.jr_fallback then j.Ir.jfallback <- true
             else begin
-              Library.add ~context:j.Ir.jcontext library ~key:j.Ir.jkey
-                j.Ir.jcanon ~duration:r.Ir.jr_duration
-                ~fidelity:r.Ir.jr_fidelity ?pulse:r.Ir.jr_pulse ();
+              Library.add library ~key:j.Ir.jkey
+                {
+                  Library.unitary = j.Ir.jcanon;
+                  duration = r.Ir.jr_duration;
+                  fidelity = r.Ir.jr_fidelity;
+                  pulse = r.Ir.jr_pulse;
+                  context = j.Ir.jcontext;
+                };
               j.Ir.jpulse <- r.Ir.jr_pulse
             end;
             j.Ir.resolved <- Some (r.Ir.jr_duration, r.Ir.jr_fidelity))

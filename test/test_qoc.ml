@@ -776,7 +776,8 @@ let lib_find lib u =
 
 let lib_add lib u ~duration ~fidelity =
   let cu = Library.canonicalize lib u in
-  Library.add lib ~key:(Library.key cu) cu ~duration ~fidelity ()
+  Library.add lib ~key:(Library.key cu)
+    { Library.unitary = cu; duration; fidelity; pulse = None; context = "" }
 
 let test_library_miss_then_hit () =
   let lib = Library.create () in
