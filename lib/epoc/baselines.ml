@@ -15,9 +15,9 @@
      constructing the library in similarity order.)  Runs the EPOC pass
      list under a restricted config.
    - [paqoc_like]: PAQOC (Chen et al., HPCA'23) approximated as
-     program-aware grouping: frequent two-qubit gate patterns are mined
-     and pre-compiled into the pulse library, then the program is grouped
-     with a larger per-block budget.  No ZX, no synthesis. *)
+     program-aware grouping: frequent gate-pair patterns are mined, and
+     with three or more of them the program is grouped with a larger
+     per-block budget.  No ZX, no synthesis. *)
 
 open Epoc_circuit
 open Epoc_partition
@@ -122,12 +122,13 @@ let compile_accqoc_like session circuit =
 
 (* --- PAQOC-like -------------------------------------------------------------- *)
 
-(* Frequent-pattern mining: count consecutive two-qubit gate runs by
-   (gate names, relative orientation) and pre-compile the most frequent
-   patterns into the library, PAQOC's "program-aware basis gates". *)
+(* Frequent-pattern mining: count consecutive gate pairs sharing a qubit
+   by (gate names, same qubits) and keep those seen at least twice,
+   PAQOC's "program-aware basis gates".  Only their number is used: it
+   picks the grouping budget in [paqoc_config_for]. *)
 let mine_patterns (circuit : Circuit.t) =
   let table = Hashtbl.create 32 in
-  let ops = Array.of_list (Circuit.ops Circuit.(of_ops (n_qubits circuit) (ops circuit))) in
+  let ops = Array.of_list (Circuit.ops circuit) in
   let n = Array.length ops in
   for i = 0 to n - 2 do
     let a = ops.(i) and b = ops.(i + 1) in
