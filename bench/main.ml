@@ -22,6 +22,7 @@
 open Epoc
 open Epoc_circuit
 module Pool = Epoc_parallel.Pool
+module J = Epoc_obs.Json
 
 let suite = Epoc_benchmarks.Benchmarks.suite ()
 
@@ -441,12 +442,6 @@ let device_sweep () =
       (name, runs))
     device_sweep_benchmarks
 
-let device_run_json (r : device_run) =
-  Printf.sprintf
-    "{\"device\": \"%s\", \"latency_ns\": %.3f, \"esp\": %.6f, \
-     \"pulses\": %d, \"compile_s\": %.6f, \"ir_roundtrip\": %b}"
-    r.dr_device r.dr_latency r.dr_esp r.dr_pulses r.dr_compile_s r.dr_ir_ok
-
 (* --- persistent-cache cold/warm sweep ------------------------------------- *)
 
 (* Quantify the cross-run pulse cache (lib/cache): each benchmark compiles
@@ -500,12 +495,6 @@ let cache_sweep () =
       rm_rf dir;
       (name, cold, warm))
     cache_sweep_benchmarks
-
-let cache_run_json (r : cache_run) =
-  Printf.sprintf
-    "{\"compile_s\": %.6f, \"latency_ns\": %.3f, \"esp\": %.6f, \
-     \"cache_hits\": %d, \"cache_misses\": %d}"
-    r.cr_compile_s r.cr_latency r.cr_esp r.cr_cache_hits r.cr_cache_misses
 
 (* --- persistent synthesis-cache cold/warm sweep ---------------------------- *)
 
@@ -568,14 +557,6 @@ let synth_cache_sweep () =
       (name, cold, warm))
     synth_sweep_benchmarks
 
-let synth_run_json (r : synth_run) =
-  Printf.sprintf
-    "{\"compile_s\": %.6f, \"latency_ns\": %.3f, \"esp\": %.6f, \
-     \"synth_cache_hits\": %d, \"synth_cache_misses\": %d, \
-     \"qsearch_expansions\": %d, \"qsearch_runs\": %d}"
-    r.sr_compile_s r.sr_latency r.sr_esp r.sr_hits r.sr_misses r.sr_expansions
-    r.sr_searches
-
 (* --- instantiation throughput ------------------------------------------------ *)
 
 (* Adam steps per second and minor words per step of
@@ -637,15 +618,6 @@ let synth_micro () =
     sm_minor_words = Gc.minor_words () -. w0;
   }
 
-let synth_micro_json (m : synth_micro) =
-  Printf.sprintf
-    "{\"template_cnots\": 1, \"target_cnots\": 3, \"runs\": %d, \
-     \"steps\": %d, \"wall_s\": %.6f, \"steps_per_s\": %.1f, \
-     \"minor_words_per_step\": %.3f}"
-    m.sm_runs m.sm_steps m.sm_wall_s
-    (float_of_int m.sm_steps /. m.sm_wall_s)
-    (m.sm_minor_words /. float_of_int m.sm_steps)
-
 (* --- 2-qubit GRAPE throughput ---------------------------------------------- *)
 
 (* Iterations per second and minor words per iteration of a 2-qubit
@@ -704,29 +676,11 @@ let grape2q_micro () =
     g2_minor_words = Gc.minor_words () -. w0;
   }
 
-let grape2q_micro_json (m : grape2q_micro) =
-  Printf.sprintf
-    "{\"qubits\": 2, \"target\": \"cz\", \"slots\": %d, \"runs\": %d, \
-     \"iterations\": %d, \"wall_s\": %.6f, \"iters_per_s\": %.1f, \
-     \"minor_words_per_iter\": %.3f}"
-    grape2q_slots m.g2_runs m.g2_iters m.g2_wall_s
-    (float_of_int m.g2_iters /. m.g2_wall_s)
-    (m.g2_minor_words /. float_of_int m.g2_iters)
-
 (* Compile the table-1 suite and emit per-benchmark compile time, schedule
    quality, library traffic and the per-stage timing breakdown (from the
    pass manager's trace) as JSON, plus the 1- and 2-qubit GRAPE and the
    instantiation throughput microbenchmarks — the numbers regressions
    are judged against. *)
-let stage_rows trace =
-  (* aggregate candidate stages by name: one row per pass, wall summed *)
-  String.concat ", "
-    (List.map
-       (fun (r : Trace.agg_row) ->
-         Printf.sprintf "{\"stage\": \"%s\", \"calls\": %d, \"wall_s\": %.6f}"
-           r.Trace.agg_name r.Trace.agg_calls r.Trace.agg_wall_s)
-       (Epoc.Trace.aggregate trace))
-
 let bench_json () =
   header "JSON - machine-readable pipeline timings"
     (Printf.sprintf "written to %s" json_file);
@@ -790,84 +744,147 @@ let bench_json () =
   (* per-device latency/ESP over the bundled zoo, IR round trip included *)
   let dev_sweep = device_sweep () in
   let total_s = Unix.gettimeofday () -. t0 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" bench_schema_version);
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": %d,\n  \"qoc_mode\": \"estimate\",\n"
-       (Pool.domains pool));
-  Buffer.add_string b "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, c, (r : Pipeline.result), (s : Epoc_pulse.Library.stats)) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"qubits\": %d, \"gates\": %d, \
-            \"compile_s\": %.6f, \"latency_ns\": %.3f, \"esp\": %.6f, \
-            \"pulses\": %d, \"blocks\": %d, \"degraded_blocks\": %d, \
-            \"retries\": %d, \"ir_roundtrip\": %b, \"library\": {\"hits\": %d, \
-            \"misses\": %d, \"entries\": %d}, \"stages\": [%s], \
-            \"metrics\": %s}%s\n"
-           name (Circuit.n_qubits c) (Circuit.gate_count c)
-           r.Pipeline.compile_time r.Pipeline.latency r.Pipeline.esp
-           r.Pipeline.stats.Pipeline.pulse_count r.Pipeline.stats.Pipeline.blocks
-           r.Pipeline.stats.Pipeline.degraded_blocks
-           r.Pipeline.stats.Pipeline.retries
-           (ir_roundtrip ~name r.Pipeline.schedule)
-           s.Epoc_pulse.Library.hits s.Epoc_pulse.Library.misses
-           s.Epoc_pulse.Library.entries
-           (stage_rows r.Pipeline.trace)
-           (Epoc_obs.Json.to_string (Epoc_obs.Metrics.to_json r.Pipeline.metrics))
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"cache_sweep\": [\n";
-  List.iteri
-    (fun i (name, cold, warm) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"cold\": %s, \"warm\": %s}%s\n"
-           name (cache_run_json cold) (cache_run_json warm)
-           (if i = List.length sweep - 1 then "" else ",")))
-    sweep;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"synth_cache_sweep\": [\n";
-  List.iteri
-    (fun i (name, cold, warm) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"cold\": %s, \"warm\": %s}%s\n"
-           name (synth_run_json cold) (synth_run_json warm)
-           (if i = List.length synth_sweep - 1 then "" else ",")))
-    synth_sweep;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"device_sweep\": [\n";
-  List.iteri
-    (fun i (name, runs) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"runs\": [%s]}%s\n" name
-           (String.concat ", " (List.map device_run_json runs))
-           (if i = List.length dev_sweep - 1 then "" else ",")))
-    dev_sweep;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"grape_micro\": {\"slots\": 24, \"runs\": %d, \"iterations\": %d, \
-        \"wall_s\": %.6f, \"iters_per_s\": %.1f, \"batch_runs\": %d, \
-        \"batch_width\": %d, \"batch_iterations\": %d, \
-        \"batch_wall_s\": %.6f, \"batch_iters_per_s\": %.1f, \
-        \"gauge_iters_per_s\": %.1f},\n"
-       grape_reps !grape_iters grape_s
-       (float_of_int !grape_iters /. grape_s)
-       batch_reps batch_width !batch_iters batch_s
-       (float_of_int !batch_iters /. batch_s)
-       (Option.value ~default:0.0
-          (Epoc_obs.Metrics.gauge_value bench_metrics "grape.iters_per_s")));
-  Buffer.add_string b
-    (Printf.sprintf "  \"grape2q_micro\": %s,\n" (grape2q_micro_json g2));
-  Buffer.add_string b
-    (Printf.sprintf "  \"synth_micro\": %s,\n" (synth_micro_json sm));
-  Buffer.add_string b (Printf.sprintf "  \"total_wall_s\": %.6f\n}\n" total_s);
+  let per_s n wall = float_of_int n /. wall in
+  let cold_warm run_json (name, cold, warm) =
+    J.Obj
+      [ ("name", J.Str name); ("cold", run_json cold); ("warm", run_json warm) ]
+  in
+  let doc =
+    J.Obj
+      [
+        ("schema_version", J.of_int bench_schema_version);
+        ("domains", J.of_int (Pool.domains pool));
+        ("qoc_mode", J.Str "estimate");
+        ( "benchmarks",
+          J.Arr
+            (List.map
+               (fun (name, c, (r : Pipeline.result), s) ->
+                 let st = r.Pipeline.stats in
+                 J.Obj
+                   [
+                     ("name", J.Str name);
+                     ("qubits", J.of_int (Circuit.n_qubits c));
+                     ("gates", J.of_int (Circuit.gate_count c));
+                     ("compile_s", J.Num r.Pipeline.compile_time);
+                     ("latency_ns", J.Num r.Pipeline.latency);
+                     ("esp", J.Num r.Pipeline.esp);
+                     ("pulses", J.of_int st.Pipeline.pulse_count);
+                     ("blocks", J.of_int st.Pipeline.blocks);
+                     ("degraded_blocks", J.of_int st.Pipeline.degraded_blocks);
+                     ("retries", J.of_int st.Pipeline.retries);
+                     ( "ir_roundtrip",
+                       J.Bool (ir_roundtrip ~name r.Pipeline.schedule) );
+                     ( "library",
+                       J.Obj
+                         [
+                           ("hits", J.of_int s.Epoc_pulse.Library.hits);
+                           ("misses", J.of_int s.Epoc_pulse.Library.misses);
+                           ("entries", J.of_int s.Epoc_pulse.Library.entries);
+                         ] );
+                     ("stages", Epoc_obs.Trace.stages_json r.Pipeline.trace);
+                     ("metrics", Epoc_obs.Metrics.to_json r.Pipeline.metrics);
+                   ])
+               rows) );
+        ( "cache_sweep",
+          J.Arr
+            (List.map
+               (cold_warm (fun r ->
+                    J.Obj
+                      [
+                        ("compile_s", J.Num r.cr_compile_s);
+                        ("latency_ns", J.Num r.cr_latency);
+                        ("esp", J.Num r.cr_esp);
+                        ("cache_hits", J.of_int r.cr_cache_hits);
+                        ("cache_misses", J.of_int r.cr_cache_misses);
+                      ]))
+               sweep) );
+        ( "synth_cache_sweep",
+          J.Arr
+            (List.map
+               (cold_warm (fun r ->
+                    J.Obj
+                      [
+                        ("compile_s", J.Num r.sr_compile_s);
+                        ("latency_ns", J.Num r.sr_latency);
+                        ("esp", J.Num r.sr_esp);
+                        ("synth_cache_hits", J.of_int r.sr_hits);
+                        ("synth_cache_misses", J.of_int r.sr_misses);
+                        ("qsearch_expansions", J.of_int r.sr_expansions);
+                        ("qsearch_runs", J.of_int r.sr_searches);
+                      ]))
+               synth_sweep) );
+        ( "device_sweep",
+          J.Arr
+            (List.map
+               (fun (name, runs) ->
+                 J.Obj
+                   [
+                     ("name", J.Str name);
+                     ( "runs",
+                       J.Arr
+                         (List.map
+                            (fun r ->
+                              J.Obj
+                                [
+                                  ("device", J.Str r.dr_device);
+                                  ("latency_ns", J.Num r.dr_latency);
+                                  ("esp", J.Num r.dr_esp);
+                                  ("pulses", J.of_int r.dr_pulses);
+                                  ("compile_s", J.Num r.dr_compile_s);
+                                  ("ir_roundtrip", J.Bool r.dr_ir_ok);
+                                ])
+                            runs) );
+                   ])
+               dev_sweep) );
+        ( "grape_micro",
+          J.Obj
+            [
+              ("slots", J.of_int 24);
+              ("runs", J.of_int grape_reps);
+              ("iterations", J.of_int !grape_iters);
+              ("wall_s", J.Num grape_s);
+              ("iters_per_s", J.Num (per_s !grape_iters grape_s));
+              ("batch_runs", J.of_int batch_reps);
+              ("batch_width", J.of_int batch_width);
+              ("batch_iterations", J.of_int !batch_iters);
+              ("batch_wall_s", J.Num batch_s);
+              ("batch_iters_per_s", J.Num (per_s !batch_iters batch_s));
+              ( "gauge_iters_per_s",
+                J.Num
+                  (Option.value ~default:0.0
+                     (Epoc_obs.Metrics.gauge_value bench_metrics
+                        "grape.iters_per_s")) );
+            ] );
+        ( "grape2q_micro",
+          J.Obj
+            [
+              ("qubits", J.of_int 2);
+              ("target", J.Str "cz");
+              ("slots", J.of_int grape2q_slots);
+              ("runs", J.of_int g2.g2_runs);
+              ("iterations", J.of_int g2.g2_iters);
+              ("wall_s", J.Num g2.g2_wall_s);
+              ("iters_per_s", J.Num (per_s g2.g2_iters g2.g2_wall_s));
+              ( "minor_words_per_iter",
+                J.Num (g2.g2_minor_words /. float_of_int g2.g2_iters) );
+            ] );
+        ( "synth_micro",
+          J.Obj
+            [
+              ("template_cnots", J.of_int 1);
+              ("target_cnots", J.of_int 3);
+              ("runs", J.of_int sm.sm_runs);
+              ("steps", J.of_int sm.sm_steps);
+              ("wall_s", J.Num sm.sm_wall_s);
+              ("steps_per_s", J.Num (per_s sm.sm_steps sm.sm_wall_s));
+              ( "minor_words_per_step",
+                J.Num (sm.sm_minor_words /. float_of_int sm.sm_steps) );
+            ] );
+        ("total_wall_s", J.Num total_s);
+      ]
+  in
   let oc = open_out json_file in
-  output_string oc (Buffer.contents b);
+  output_string oc (J.to_string ~indent:true doc ^ "\n");
   close_out oc;
   List.iter
     (fun (name, _, (r : Pipeline.result), _) ->
@@ -876,12 +893,12 @@ let bench_json () =
     rows;
   Printf.printf
     "\n2-qubit GRAPE: %.0f iters/s, %.3f minor words/iter (%d iterations)\n"
-    (float_of_int g2.g2_iters /. g2.g2_wall_s)
+    (per_s g2.g2_iters g2.g2_wall_s)
     (g2.g2_minor_words /. float_of_int g2.g2_iters)
     g2.g2_iters;
   Printf.printf
     "instantiation: %.0f Adam steps/s, %.3f minor words/step (%d steps)\n"
-    (float_of_int sm.sm_steps /. sm.sm_wall_s)
+    (per_s sm.sm_steps sm.sm_wall_s)
     (sm.sm_minor_words /. float_of_int sm.sm_steps)
     sm.sm_steps;
   Printf.printf "\ncold/warm pulse-cache sweep (GRAPE pulses):\n";

@@ -24,7 +24,7 @@
    writes the winning schedule as portable pulse-IR JSON. *)
 
 open Cmdliner
-module T = Epoc.Trace
+module T = Epoc_obs.Trace
 module M = Epoc_obs.Metrics
 module J = Epoc_obs.Json
 
@@ -230,41 +230,81 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-    ~synth_cache_dir ~similarity_order ~deadline ~block_deadline ~retries
-    ~fault =
-  let base = Epoc.Config.default in
-  {
-    base with
-    Epoc.Config.qoc_mode =
-      (if grape then Epoc.Config.Grape else Epoc.Config.Estimate);
-    use_zx = not no_zx;
-    use_synthesis = not no_synth;
-    regroup = not no_regroup;
-    partition =
-      {
-        base.Epoc.Config.partition with
-        Epoc_partition.Partition.qubit_limit = width;
-      };
-    cache_dir;
-    synth_cache_dir;
-    similarity_order;
-    total_deadline = deadline;
-    block_deadline;
-    max_retries = retries;
-    fault;
-  }
+(* The compile config of the flow, stage and resilience flags, shared by
+   compile, report and serve. *)
+let config_term =
+  let config_of grape no_zx no_synth no_regroup width cache_dir
+      synth_cache_dir similarity_order deadline block_deadline retries fault =
+    let base = Epoc.Config.default in
+    {
+      base with
+      Epoc.Config.qoc_mode =
+        (if grape then Epoc.Config.Grape else Epoc.Config.Estimate);
+      use_zx = not no_zx;
+      use_synthesis = not no_synth;
+      regroup = not no_regroup;
+      partition =
+        {
+          base.Epoc.Config.partition with
+          Epoc_partition.Partition.qubit_limit = width;
+        };
+      cache_dir;
+      synth_cache_dir;
+      similarity_order;
+      total_deadline = deadline;
+      block_deadline;
+      max_retries = retries;
+      fault;
+    }
+  in
+  Term.(
+    const config_of $ grape_arg $ no_zx $ no_synthesis $ no_regroup
+    $ partition_width $ cache_arg $ synth_cache_arg $ similarity_order_arg
+    $ deadline_arg $ block_deadline_arg $ retries_arg $ fault_arg)
 
-let run_flow_named flow ~engine ~config ~trace ~metrics ~name circuit =
-  let session = Epoc.Engine.session ~config ~trace ~metrics ~name engine in
-  match flow with
-  | "epoc" -> Epoc.Pipeline.compile session circuit
-  | "paqoc" -> Epoc.Baselines.compile_paqoc_like session circuit
-  | "accqoc" -> Epoc.Baselines.compile_accqoc_like session circuit
-  | "gate" -> Epoc.Baselines.compile_gate_based session circuit
-  | other ->
-      Printf.eprintf "unknown flow %S\n" other;
-      exit 1
+(* The one compile path of [compile] and [report]: load the circuit,
+   open a one-shot engine, resolve the device, run the named flow with a
+   fresh trace sink ([gc] captures GC deltas per span) and write the
+   Chrome trace when asked.  Returns the engine, the device-resolved
+   config and the result; [None] after printing why the compile could
+   not run (exit 1). *)
+let compile_one ~spec ~flow ~device_spec ~gc ~chrome config =
+  match load spec with
+  | exception Epoc_qasm.Qasm.Parse_error m ->
+      Printf.eprintf "parse error: %s\n" m;
+      None
+  | exception Invalid_argument m ->
+      Printf.eprintf "error: %s\n" m;
+      None
+  | circuit -> (
+      let engine = Epoc.Engine.create ~config () in
+      match
+        Epoc.Config.resolve_device (Epoc.Engine.devices engine) device_spec
+          config
+      with
+      | Error m ->
+          Printf.eprintf "error: %s\n" m;
+          None
+      | Ok config -> (
+          match List.assoc_opt flow Epoc.Baselines.flows with
+          | None ->
+              Printf.eprintf "unknown flow %S\n" flow;
+              None
+          | Some compile ->
+              let trace = T.create ~gc () in
+              let result =
+                compile
+                  (Epoc.Engine.session ~config ~trace ~name:spec engine)
+                  circuit
+              in
+              Option.iter
+                (fun file ->
+                  write_file file
+                    (J.to_string ~indent:true
+                       (T.to_chrome_json result.Epoc.Pipeline.trace));
+                  Printf.eprintf "wrote chrome trace to %s\n" file)
+                chrome;
+              Some (engine, config, result)))
 
 let report (r : Epoc.Pipeline.result) show =
   Printf.printf "flow             : %s\n" r.Epoc.Pipeline.name;
@@ -304,91 +344,38 @@ let report (r : Epoc.Pipeline.result) show =
   if show then Format.printf "@.%a@." Epoc_pulse.Schedule.pp r.Epoc.Pipeline.schedule
 
 let compile_cmd =
-  let run spec flow device_spec export_ir grape no_zx no_synth no_regroup
-      width cache_dir synth_cache_dir similarity_order deadline block_deadline
-      retries strict fault verbosity schedule trace trace_json gc chrome =
+  let run spec flow device_spec export_ir config strict verbosity schedule
+      trace trace_json gc chrome =
     setup_logs verbosity;
-    match load spec with
-    | exception Epoc_qasm.Qasm.Parse_error m ->
-        Printf.eprintf "parse error: %s\n" m;
-        1
-    | exception Invalid_argument m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | circuit ->
-        let config =
-          config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-            ~synth_cache_dir ~similarity_order ~deadline ~block_deadline
-            ~retries ~fault
-        in
-        let sink = T.create ~gc () in
-        let metrics = M.create () in
-        let engine = Epoc.Engine.create ~config () in
-        (match
-           Epoc.Config.resolve_device (Epoc.Engine.devices engine) device_spec
-             config
-         with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok config ->
-            let result =
-              run_flow_named flow ~engine ~config ~trace:sink ~metrics
-                ~name:spec circuit
-            in
-            (match chrome with
-            | None -> ()
-            | Some file ->
-                write_file file (T.to_chrome_json result.Epoc.Pipeline.trace);
-                Printf.eprintf "wrote chrome trace to %s\n" file);
-            (match export_ir with
-            | None -> ()
-            | Some file ->
-                write_file file
-                  (Epoc_pulseir.Pulseir.to_string
-                     (Epoc_pulseir.Pulseir.export
-                        ?device:config.Epoc.Config.device ~name:spec
-                        result.Epoc.Pipeline.schedule));
-                Printf.eprintf "wrote pulse IR to %s\n" file);
-            if trace_json then
-              print_endline (T.to_json result.Epoc.Pipeline.trace)
-            else begin
-              report result schedule;
-              if trace then
-                Format.printf "@.%a@." T.pp result.Epoc.Pipeline.trace
-            end;
-            exit_status ~strict result)
+    match compile_one ~spec ~flow ~device_spec ~gc ~chrome config with
+    | None -> 1
+    | Some (_, config, result) ->
+        (match export_ir with
+        | None -> ()
+        | Some file ->
+            write_file file
+              (Epoc_pulseir.Pulseir.to_string
+                 (Epoc_pulseir.Pulseir.export ?device:config.Epoc.Config.device
+                    ~name:spec result.Epoc.Pipeline.schedule));
+            Printf.eprintf "wrote pulse IR to %s\n" file);
+        if trace_json then
+          print_endline
+            (J.to_string ~indent:true (T.to_json result.Epoc.Pipeline.trace))
+        else begin
+          report result schedule;
+          if trace then Format.printf "@.%a@." T.pp result.Epoc.Pipeline.trace
+        end;
+        exit_status ~strict result
   in
   let term =
     Term.(
       const run $ circuit_arg $ flow_arg $ device_arg $ export_ir_arg
-      $ grape_arg $ no_zx $ no_synthesis $ no_regroup $ partition_width
-      $ cache_arg $ synth_cache_arg $ similarity_order_arg $ deadline_arg
-      $ block_deadline_arg $ retries_arg $ strict_arg $ fault_arg $ verbose
-      $ show_schedule $ show_trace $ show_trace_json $ trace_gc $ trace_chrome)
+      $ config_term $ strict_arg $ verbose $ show_schedule $ show_trace
+      $ show_trace_json $ trace_gc $ trace_chrome)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a circuit to a pulse schedule.") term
 
 (* --- epoc report ---------------------------------------------------------- *)
-
-let gc_json (g : T.gc_delta) =
-  J.Obj
-    [
-      ("minor_words", J.Num g.T.minor_words);
-      ("major_words", J.Num g.T.major_words);
-      ("promoted_words", J.Num g.T.promoted_words);
-      ("minor_collections", J.of_int g.T.minor_collections);
-      ("major_collections", J.of_int g.T.major_collections);
-    ]
-
-let agg_row_json (r : T.agg_row) =
-  J.Obj
-    ([
-       ("stage", J.Str r.T.agg_name);
-       ("calls", J.of_int r.T.agg_calls);
-       ("wall_s", J.Num r.T.agg_wall_s);
-     ]
-    @ match r.T.agg_gc with None -> [] | Some g -> [ ("gc", gc_json g) ])
 
 (* Version of the report's JSON shape; tools consuming it (see
    tools/bench_compare.ml for the bench flavour) check this before
@@ -407,8 +394,7 @@ let report_json (r : Epoc.Pipeline.result) metrics ~process =
       ( "degraded_blocks",
         J.of_int r.Epoc.Pipeline.stats.Epoc.Pipeline.degraded_blocks );
       ("retries", J.of_int r.Epoc.Pipeline.stats.Epoc.Pipeline.retries);
-      ( "stages",
-        J.Arr (List.map agg_row_json (T.aggregate r.Epoc.Pipeline.trace)) );
+      ("stages", T.stages_json r.Epoc.Pipeline.trace);
       ("metrics", M.to_json metrics);
       ("process", M.to_json process);
     ]
@@ -493,55 +479,25 @@ let report_text (r : Epoc.Pipeline.result) metrics ~process =
   dump "metrics (engine)" process
 
 let report_cmd =
-  let run spec flow device_spec grape no_zx no_synth no_regroup width
-      cache_dir synth_cache_dir similarity_order deadline block_deadline
-      retries strict fault verbosity json prometheus chrome =
+  let run spec flow device_spec config strict verbosity json prometheus chrome
+      =
     setup_logs verbosity;
-    match load spec with
-    | exception Epoc_qasm.Qasm.Parse_error m ->
-        Printf.eprintf "parse error: %s\n" m;
-        1
-    | exception Invalid_argument m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | circuit ->
-        let config =
-          config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-            ~synth_cache_dir ~similarity_order ~deadline ~block_deadline
-            ~retries ~fault
-        in
-        let sink = T.create ~gc:true () in
-        let metrics = M.create () in
-        let engine = Epoc.Engine.create ~config () in
+    match compile_one ~spec ~flow ~device_spec ~gc:true ~chrome config with
+    | None -> 1
+    | Some (engine, _, result) ->
+        let metrics = result.Epoc.Pipeline.metrics in
         let process = Epoc.Engine.metrics engine in
-        (match
-           Epoc.Config.resolve_device (Epoc.Engine.devices engine) device_spec
-             config
-         with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok config ->
-            let result =
-              run_flow_named flow ~engine ~config ~trace:sink ~metrics
-                ~name:spec circuit
-            in
-            (match chrome with
-            | None -> ()
-            | Some file ->
-                write_file file (T.to_chrome_json result.Epoc.Pipeline.trace);
-                Printf.eprintf "wrote chrome trace to %s\n" file);
-            if prometheus then
-              (* same exposition shape as the daemon's {"cmd":"prometheus"}:
-                 engine registry under epoc_, per-run values under epoc_run_ *)
-              print_string
-                (M.to_prometheus ~prefix:"epoc_" process
-                ^ M.to_prometheus ~prefix:"epoc_run_" metrics)
-            else if json then
-              print_endline
-                (J.to_string ~indent:true (report_json result metrics ~process))
-            else report_text result metrics ~process;
-            exit_status ~strict result)
+        if prometheus then
+          (* same exposition shape as the daemon's {"cmd":"prometheus"}:
+             engine registry under epoc_, per-run values under epoc_run_ *)
+          print_string
+            (M.to_prometheus ~prefix:"epoc_" process
+            ^ M.to_prometheus ~prefix:"epoc_run_" metrics)
+        else if json then
+          print_endline
+            (J.to_string ~indent:true (report_json result metrics ~process))
+        else report_text result metrics ~process;
+        exit_status ~strict result
   in
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
@@ -557,11 +513,8 @@ let report_cmd =
   in
   let term =
     Term.(
-      const run $ circuit_arg $ flow_arg $ device_arg $ grape_arg $ no_zx
-      $ no_synthesis $ no_regroup $ partition_width $ cache_arg
-      $ synth_cache_arg $ similarity_order_arg $ deadline_arg
-      $ block_deadline_arg $ retries_arg $ strict_arg $ fault_arg $ verbose
-      $ json_flag $ prometheus_flag $ trace_chrome)
+      const run $ circuit_arg $ flow_arg $ device_arg $ config_term
+      $ strict_arg $ verbose $ json_flag $ prometheus_flag $ trace_chrome)
   in
   Cmd.v
     (Cmd.info "report"
@@ -603,15 +556,8 @@ let slow_trace_arg =
     & info [ "slow-trace" ] ~docv:"SEC" ~doc)
 
 let serve_cmd =
-  let run socket workers flight slow_trace device_spec grape no_zx no_synth
-      no_regroup width cache_dir synth_cache_dir similarity_order deadline
-      block_deadline retries fault verbosity =
+  let run socket workers flight slow_trace device_spec config verbosity =
     setup_logs verbosity;
-    let config =
-      config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-        ~synth_cache_dir ~similarity_order ~deadline ~block_deadline ~retries
-        ~fault
-    in
     let config =
       {
         config with
@@ -634,9 +580,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ socket_arg $ workers_arg $ flight_arg $ slow_trace_arg
-      $ device_arg $ grape_arg $ no_zx $ no_synthesis $ no_regroup
-      $ partition_width $ cache_arg $ synth_cache_arg $ similarity_order_arg
-      $ deadline_arg $ block_deadline_arg $ retries_arg $ fault_arg $ verbose)
+      $ device_arg $ config_term $ verbose)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -744,9 +688,9 @@ let print_top metrics recent =
 
 let top_cmd =
   let run socket watch =
+    let cmd name = J.to_string (J.Obj [ ("cmd", J.Str name) ]) in
     let once () =
-      match rpc_lines socket [ {|{"cmd":"metrics"}|}; {|{"cmd":"recent"}|} ]
-      with
+      match rpc_lines socket [ cmd "metrics"; cmd "recent" ] with
       | exception Unix.Unix_error (e, _, _) ->
           Printf.eprintf "epoc top: %s: %s\n" socket (Unix.error_message e);
           Error 1

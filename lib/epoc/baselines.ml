@@ -173,3 +173,15 @@ let paqoc_config_for config circuit =
 let compile_paqoc_like session circuit =
   let cfg = paqoc_config_for (Engine.session_config session) circuit in
   Pipeline.compile (Engine.with_config cfg session) circuit
+
+(* --- flow table ----------------------------------------------------------- *)
+
+(* Every compilation flow by name, EPOC first: the CLI's [--flow], the
+   serve protocol's ["flow"] field and the tests resolve names here. *)
+let flows =
+  [
+    ("epoc", Pipeline.compile);
+    ("gate", compile_gate_based);
+    ("accqoc", compile_accqoc_like);
+    ("paqoc", compile_paqoc_like);
+  ]

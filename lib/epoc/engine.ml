@@ -48,28 +48,16 @@ type t = {
    the phase-matching convention of the library.  The config
    itself is *not* stored — it is a per-session value, so one engine can
    serve requests compiled under different configs (modes, deadlines). *)
-let create ?(config = Config.default) ?domains ?pool ?library ?cache ?synth ()
-    =
+let create ?(config = Config.default) ?domains ?pool () =
   let metrics = Metrics.create () in
   let pool =
     match pool with Some p -> p | None -> Pool.create ?domains ~metrics ()
   in
   let library =
-    match library with
-    | Some l -> l
-    | None -> Library.create ~match_global_phase:config.Config.match_global_phase ()
+    Library.create ~match_global_phase:config.Config.match_global_phase ()
   in
-  let cache =
-    match cache with
-    | Some _ as c -> c
-    | None -> Option.map Store.open_dir config.Config.cache_dir
-  in
-  let synth =
-    match synth with
-    | Some _ as s -> s
-    | None ->
-        Option.map Synth_store.open_dir config.Config.synth_cache_dir
-  in
+  let cache = Option.map Store.open_dir config.Config.cache_dir in
+  let synth = Option.map Synth_store.open_dir config.Config.synth_cache_dir in
   {
     pool;
     library;
@@ -119,10 +107,8 @@ let flush t =
    library by default; passing a private one isolates the request (the
    serve daemon does this so each job resolves exactly like a one-shot
    run, with cross-request reuse flowing through the engine store) and
-   the caller decides whether to absorb it back.  [s_pool], [s_cache]
-   and [s_synth] are views of the engine's resources unless the session
-   was opened with overrides (one-shot callers with a private pool or
-   store use these). *)
+   the caller decides whether to absorb it back.  The pool and stores
+   are always the engine's, read through [s_engine]. *)
 type session = {
   s_engine : t;
   s_config : Config.t;
@@ -130,10 +116,7 @@ type session = {
   s_request_id : string; (* stable identity of this request *)
   s_library : Library.t;
   s_explicit_library : Library.t option; (* as passed by the caller *)
-  s_pool : Pool.t;
-  s_cache : Store.t option;
-  s_synth : Synth_store.t option;
-  s_trace : Trace.t;
+  s_trace : Epoc_obs.Trace.t;
   s_metrics : Metrics.t; (* per-run registry: deterministic values only *)
   s_budget : Epoc_budget.t;
   s_fault : Epoc_fault.spec option;
@@ -154,8 +137,8 @@ let library_for t (config : Config.t) = function
       then t.library
       else Library.create ~match_global_phase:config.Config.match_global_phase ()
 
-let session ?(config = Config.default) ?request_id ?library ?pool ?cache
-    ?synth ?trace ?metrics ~name t =
+let session ?(config = Config.default) ?request_id ?library ?trace ?metrics
+    ~name t =
   {
     s_engine = t;
     s_config = config;
@@ -164,10 +147,8 @@ let session ?(config = Config.default) ?request_id ?library ?pool ?cache
       (match request_id with Some id -> id | None -> next_request_id t);
     s_library = library_for t config library;
     s_explicit_library = library;
-    s_pool = (match pool with Some p -> p | None -> t.pool);
-    s_cache = (match cache with Some _ as c -> c | None -> t.cache);
-    s_synth = (match synth with Some _ as s -> s | None -> t.synth);
-    s_trace = (match trace with Some tr -> tr | None -> Trace.create ());
+    s_trace =
+      (match trace with Some tr -> tr | None -> Epoc_obs.Trace.create ());
     s_metrics = (match metrics with Some m -> m | None -> Metrics.create ());
     s_budget =
       Epoc_budget.sub ?seconds:config.Config.total_deadline
@@ -176,9 +157,9 @@ let session ?(config = Config.default) ?request_id ?library ?pool ?cache
   }
 
 (* The same session under a different config: identity (engine, name,
-   request id), sinks and resource overrides carry over; the library,
-   budget and fault spec re-derive from the new config.  The baselines
-   use this to apply their config transforms to a caller's session. *)
+   request id) and sinks carry over; the library, budget and fault spec
+   re-derive from the new config.  The baselines use this to apply their
+   config transforms to a caller's session. *)
 let with_config config s =
   {
     s with
@@ -195,9 +176,6 @@ let session_config s = s.s_config
 let session_name s = s.s_name
 let session_request_id s = s.s_request_id
 let session_library s = s.s_library
-let session_pool s = s.s_pool
-let session_cache s = s.s_cache
-let session_synth s = s.s_synth
 let session_trace s = s.s_trace
 let session_metrics s = s.s_metrics
 let session_budget s = s.s_budget

@@ -27,19 +27,10 @@ type t
     and the phase-matching convention of the library — but
     is not retained: configs are per-session values, so one engine
     serves requests compiled under different modes and deadlines.
-    [domains] sizes the pool (when no [pool] is given); explicit
-    [pool], [library], [cache], [synth] override the constructed
-    defaults.  The pool constructed here records its traffic into the
-    engine registry. *)
-val create :
-  ?config:Config.t ->
-  ?domains:int ->
-  ?pool:Pool.t ->
-  ?library:Library.t ->
-  ?cache:Epoc_cache.Store.t ->
-  ?synth:Epoc_cache.Synth_store.t ->
-  unit ->
-  t
+    [domains] sizes the pool unless an explicit [pool] is given; the
+    pool constructed here records its traffic into the engine
+    registry. *)
+val create : ?config:Config.t -> ?domains:int -> ?pool:Pool.t -> unit -> t
 
 val pool : t -> Pool.t
 
@@ -102,28 +93,24 @@ type session
     library unless [library] supplies a private one (the serve daemon
     isolates each job this way so it resolves exactly like a one-shot
     run, with cross-request reuse flowing through the engine store).
-    [pool], [cache] and [synth] override the engine's resources for
-    this session only.  [trace] and [metrics] default to
-    fresh sinks; the budget derives from [config.total_deadline] and
-    the fault spec from [config.fault]. *)
+    The session compiles on the engine's pool and stores.  [trace] and
+    [metrics] default to fresh sinks; the budget derives from
+    [config.total_deadline] and the fault spec from [config.fault]. *)
 val session :
   ?config:Config.t ->
   ?request_id:string ->
   ?library:Library.t ->
-  ?pool:Pool.t ->
-  ?cache:Epoc_cache.Store.t ->
-  ?synth:Epoc_cache.Synth_store.t ->
-  ?trace:Trace.t ->
+  ?trace:Epoc_obs.Trace.t ->
   ?metrics:Metrics.t ->
   name:string ->
   t ->
   session
 
 (** The same session under a different config: identity (engine, name,
-    request id), sinks and resource overrides carry over; the library,
-    budget and fault spec re-derive from the new config (an explicitly
-    passed library is kept).  The baselines use this to apply their
-    config transforms to a caller's session. *)
+    request id) and sinks carry over; the library, budget and fault
+    spec re-derive from the new config (an explicitly passed library is
+    kept).  The baselines use this to apply their config transforms to
+    a caller's session. *)
 val with_config : Config.t -> session -> session
 
 val session_engine : session -> t
@@ -136,15 +123,7 @@ val session_request_id : session -> string
 
 val session_library : session -> Library.t
 
-(** The pool, pulse store and synthesis store this session compiles
-    with: the engine's, unless the session was opened with overrides. *)
-val session_pool : session -> Pool.t
-
-val session_cache : session -> Epoc_cache.Store.t option
-
-val session_synth : session -> Epoc_cache.Synth_store.t option
-
-val session_trace : session -> Trace.t
+val session_trace : session -> Epoc_obs.Trace.t
 
 val session_metrics : session -> Metrics.t
 

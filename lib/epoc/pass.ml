@@ -13,6 +13,7 @@ open Epoc_parallel
 open Epoc_pulse
 open Epoc_qoc
 module Metrics = Epoc_obs.Metrics
+module Trace = Epoc_obs.Trace
 
 type ctx = {
   config : Config.t;
@@ -48,10 +49,10 @@ let of_session (s : Engine.session) =
   {
     config;
     request_id = Engine.session_request_id s;
-    pool = Engine.session_pool s;
+    pool = Engine.pool engine;
     library = Engine.session_library s;
-    cache = Engine.session_cache s;
-    synth = Engine.session_synth s;
+    cache = Engine.cache engine;
+    synth = Engine.synth engine;
     trace = Engine.session_trace s;
     metrics = Engine.session_metrics s;
     process = Engine.metrics engine;

@@ -1,6 +1,7 @@
 (** The pass manager: a pipeline is a declarative list of named passes
-    run in order over an {!Ir.t}, every pass wrapped in a {!Trace} span
-    that records its wall-clock window and stage counters.
+    run in order over an {!Ir.t}, every pass wrapped in an
+    {!Epoc_obs.Trace} span that records its wall-clock window and stage
+    counters.
 
     A pass must obey the pipeline's determinism contract: identical
     output for any pool size (see lib/epoc/pipeline.ml). *)
@@ -30,7 +31,7 @@ type ctx = {
       (** engine-owned persistent synthesis store, when enabled;
           consulted before QSearch runs, recorded into at pipeline
           end *)
-  trace : Trace.t;
+  trace : Epoc_obs.Trace.t;
   metrics : Metrics.t;
       (** per-run registry (lib/obs), deterministic values *)
   process : Metrics.t;
@@ -56,7 +57,7 @@ val of_session : Engine.session -> ctx
 (** A ctx with private trace and metrics shards, for candidate fan-out:
     the caller absorbs both after the parallel region, in candidate
     order. *)
-val fork_ctx : ctx -> ctx * Trace.t * Metrics.t
+val fork_ctx : ctx -> ctx * Epoc_obs.Trace.t * Metrics.t
 
 module type PASS = sig
   val name : string

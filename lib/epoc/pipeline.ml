@@ -29,6 +29,7 @@ open Epoc_circuit
 open Epoc_pulse
 open Epoc_parallel
 module Metrics = Epoc_obs.Metrics
+module Trace = Epoc_obs.Trace
 module Store = Epoc_cache.Store
 module Synth_store = Epoc_cache.Synth_store
 
@@ -267,12 +268,6 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
      live on engine-owned state, outside the determinism contract. *)
   let module Json = Epoc_obs.Json in
   let fingerprint = Digest.to_hex (Digest.string (Circuit.to_string circuit)) in
-  let stage_breakdown =
-    Json.Obj
-      (List.map
-         (fun (r : Trace.agg_row) -> (r.Trace.agg_name, Json.Num r.Trace.agg_wall_s))
-         (Trace.aggregate trace))
-  in
   let flight_payload =
     Json.Obj
       [
@@ -298,7 +293,7 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
           Json.of_int (Metrics.counter_value metrics "synth.cache.hits") );
         ( "synth_cache_misses",
           Json.of_int (Metrics.counter_value metrics "synth.cache.misses") );
-        ("stages_s", stage_breakdown);
+        ("stages_s", Trace.stage_walls_json trace);
       ]
   in
   Epoc_obs.Flight.record (Engine.flight engine) ~id:request_id

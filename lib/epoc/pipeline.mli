@@ -40,7 +40,7 @@ type result = {
   stats : stage_stats;
   library_stats : Library.stats;
   qoc_mode : Config.qoc_mode;
-  trace : Trace.t;  (** per-stage wall-clock + counters *)
+  trace : Epoc_obs.Trace.t;  (** per-stage wall-clock + counters *)
   metrics : Metrics.t;
       (** per-run registry: solver telemetry, stage counts *)
 }

@@ -59,6 +59,3 @@ let to_json ?(process_name = "epoc") ?(thread_names = []) (spans : span list) =
       ("traceEvents", Json.Arr (meta @ List.map span_event spans));
       ("displayTimeUnit", Json.Str "ms");
     ]
-
-let to_string ?process_name ?thread_names spans =
-  Json.to_string ~indent:true (to_json ?process_name ?thread_names spans)

@@ -24,10 +24,3 @@ val to_json :
   ?thread_names:(int * int * string) list ->
   span list ->
   Json.t
-
-(** {!to_json}, rendered indented. *)
-val to_string :
-  ?process_name:string ->
-  ?thread_names:(int * int * string) list ->
-  span list ->
-  string

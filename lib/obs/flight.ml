@@ -6,9 +6,9 @@
    decides what a request looks like — the pipeline stores id, circuit
    fingerprint, flow/mode, timings, stop reasons, degraded blocks and
    cache outcome) and, when the request exceeded the recorder's slow
-   threshold, a rendered trace document.  The trace is passed as a
-   thunk and only forced for slow requests, so fast requests pay
-   nothing beyond the summary.
+   threshold, its trace document as a [Json.t] value.  The trace is
+   passed as a thunk and only forced for slow requests, so fast
+   requests pay nothing beyond the summary.
 
    The buffer is mutex-guarded and strictly bounded: once [capacity]
    entries are held, recording evicts the oldest.  Recording is a
@@ -21,7 +21,7 @@ type entry = {
   f_wall_s : float;
   f_slow : bool; (* exceeded the slow threshold *)
   f_payload : Json.t; (* caller-defined request summary *)
-  f_trace : string option; (* rendered trace, captured only when slow *)
+  f_trace : Json.t option; (* trace document, captured only when slow *)
 }
 
 type t = {
@@ -52,7 +52,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Record one completed request.  [trace] is only forced when [wall_s]
-   meets the slow threshold; its cost (rendering a full Chrome trace)
+   meets the slow threshold; its cost (building a full Chrome trace)
    is the price of a slow request, not of every request. *)
 let record t ~id ~wall_s ?trace payload =
   let slow = match t.slow_s with Some s -> wall_s >= s | None -> false in

@@ -11,8 +11,7 @@ type entry = {
   f_wall_s : float;
   f_slow : bool;  (** exceeded the slow threshold *)
   f_payload : Json.t;  (** caller-defined request summary *)
-  f_trace : string option;
-      (** rendered trace document, captured only when slow *)
+  f_trace : Json.t option;  (** trace document, captured only when slow *)
 }
 
 type t
@@ -29,11 +28,11 @@ val slow_s : t -> float option
 
 (** [record t ~id ~wall_s ?trace payload] appends one completed
     request, evicting the oldest entry once the buffer is full.
-    [trace] renders the request's full trace; it is only forced when
-    [wall_s] meets the slow threshold, so fast requests pay nothing
+    [trace] builds the request's full trace document; it is only forced
+    when [wall_s] meets the slow threshold, so fast requests pay nothing
     beyond the summary. *)
 val record :
-  t -> id:string -> wall_s:float -> ?trace:(unit -> string) -> Json.t -> unit
+  t -> id:string -> wall_s:float -> ?trace:(unit -> Json.t) -> Json.t -> unit
 
 (** Total requests ever recorded (monotone; exceeds {!length} once the
     ring has wrapped). *)

@@ -1,11 +1,13 @@
 (* Minimal JSON layer for the observability subsystem: a value type, a
    compact/indented printer and a recursive-descent parser.
 
-   The repo deliberately carries no third-party JSON dependency; every
-   machine-readable artifact (trace JSON, Chrome trace events, the bench
-   regression gate's input, `epoc report --json`) speaks through this
-   module, so the exporters and the tools that consume them share one
-   definition of well-formedness. *)
+   The repo deliberately carries no third-party JSON dependency, and
+   this is its only JSON writer: every machine-readable artifact (trace
+   JSON, Chrome trace events, `epoc report --json`, serve responses and
+   the flight recorder, BENCH_pipeline.json, pulse-IR and device files)
+   is built as a [t] and rendered by [to_string], so the exporters and
+   the tools that consume them share one definition of
+   well-formedness. *)
 
 type t =
   | Null

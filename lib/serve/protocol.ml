@@ -21,7 +21,7 @@
    per-run metrics or an error message:
 
      {"jid": 1, "status": "ok", "code": 0, "request_id": "r1",
-      "queue_wait_s": 0.004, "worker": 0, "stages": {...},
+      "queue_wait_s": 0.004, "worker": 0, "flow": "epoc", "stages": {...},
       "schedule": {...}, "metrics": {...}}
      {"jid": 2, "status": "error", "code": 1, "error": "..."}
 
@@ -54,8 +54,6 @@ type request =
   | Recent
   | TraceOf of string
 
-let flows = [ "epoc"; "gate"; "accqoc"; "paqoc" ]
-
 (* Parse one request line.  Unknown fields are ignored (forward
    compatibility); unknown values of known fields are errors.
    Malformed JSON yields "parse: <detail>" where the detail carries the
@@ -81,7 +79,7 @@ let parse_request (line : string) : (request, string) result =
               let flow =
                 match Option.bind (J.member "flow" json) J.to_str with
                 | None -> Ok "epoc"
-                | Some f when List.mem f flows -> Ok f
+                | Some f when List.mem_assoc f Epoc.Baselines.flows -> Ok f
                 | Some f -> Error (Printf.sprintf "unknown flow %S" f)
               in
               let mode =
@@ -159,16 +157,7 @@ let serve_fields ?queue_wait_s ?worker ?(drained = false) () =
   @ (match worker with Some w -> [ ("worker", J.of_int w) ] | None -> [])
   @ if drained then [ ("drained", J.Bool true) ] else []
 
-(* Per-stage wall-clock breakdown of one compile, from the result's
-   trace aggregate (candN/ prefixes already stripped). *)
-let stages_json (r : Epoc.Pipeline.result) =
-  J.Obj
-    (List.map
-       (fun (row : Epoc.Trace.agg_row) ->
-         (row.Epoc.Trace.agg_name, J.Num row.Epoc.Trace.agg_wall_s))
-       (Epoc.Trace.aggregate r.Epoc.Pipeline.trace))
-
-let result_response ~jid ?queue_wait_s ?worker ?drained
+let result_response ~jid ?queue_wait_s ?worker ?drained ~flow
     (r : Epoc.Pipeline.result) =
   let status = status_of_result r in
   J.Obj
@@ -180,7 +169,7 @@ let result_response ~jid ?queue_wait_s ?worker ?drained
      ]
     @ serve_fields ?queue_wait_s ?worker ?drained ()
     @ [
-        ("flow", J.Str r.Epoc.Pipeline.name);
+        ("flow", J.Str flow);
         ("esp", J.Num r.Epoc.Pipeline.esp);
         ("compile_s", J.Num r.Epoc.Pipeline.compile_time);
         ( "degraded_blocks",
@@ -191,7 +180,7 @@ let result_response ~jid ?queue_wait_s ?worker ?drained
         ( "synth_cache_misses",
           J.of_int
             (M.counter_value r.Epoc.Pipeline.metrics "synth.cache.misses") );
-        ("stages", stages_json r);
+        ("stages", Epoc_obs.Trace.stage_walls_json r.Epoc.Pipeline.trace);
         ("schedule", schedule_json r.Epoc.Pipeline.schedule);
         ("metrics", M.to_json r.Epoc.Pipeline.metrics);
       ])
@@ -253,7 +242,7 @@ let recent_response ~jid ~(flight : Epoc_obs.Flight.t) =
     ]
 
 (* Payload for {"cmd":"trace","id":...}: the captured Chrome trace of
-   one slow request, embedded as a parsed JSON document. *)
+   one slow request, embedded as the recorder holds it. *)
 let trace_response ~jid ~id ~(flight : Epoc_obs.Flight.t) =
   match Epoc_obs.Flight.find flight id with
   | None ->
@@ -267,10 +256,7 @@ let trace_response ~jid ~id ~(flight : Epoc_obs.Flight.t) =
             (Printf.sprintf
                "no trace captured for %S (%.3fs, below the slow threshold)" id
                e.Epoc_obs.Flight.f_wall_s)
-      | Some doc ->
-          let trace =
-            match J.parse doc with Ok j -> j | Error _ -> J.Str doc
-          in
+      | Some trace ->
           J.Obj
             [
               ("jid", J.of_int jid);

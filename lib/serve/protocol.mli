@@ -13,9 +13,9 @@
       slow request).
 
     Responses mirror the CLI exit contract per job: [status]
-    "ok"/"degraded"/"error" with [code] 0/3/1, plus the schedule,
-    per-run metrics registry, the request id and serve bookkeeping
-    (queue wait, worker id, drained flag) on success.  Unreadable
+    "ok"/"degraded"/"error" with [code] 0/3/1, plus the job's flow, the
+    schedule, per-run metrics registry, the request id and serve
+    bookkeeping (queue wait, worker id, drained flag) on success.  Unreadable
     lines get ["parse: <detail>"] errors whose detail carries the
     byte offset the JSON parser stopped at.  This module is pure
     data; the socket loop lives in {!Server}. *)
@@ -57,13 +57,14 @@ val schedule_json : Schedule.t -> J.t
 
 (** Success line: status/code, the result's request id, serve
     bookkeeping ([queue_wait_s], [worker], [drained] — emitted only
-    when supplied), the per-stage wall-clock breakdown under [stages],
-    the schedule and the per-run registry. *)
+    when supplied), the job's [flow], the per-stage wall-clock
+    breakdown under [stages], the schedule and the per-run registry. *)
 val result_response :
   jid:int ->
   ?queue_wait_s:float ->
   ?worker:int ->
   ?drained:bool ->
+  flow:string ->
   Epoc.Pipeline.result ->
   J.t
 

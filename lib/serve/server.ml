@@ -116,17 +116,6 @@ let library_for flow (config : Config.t) =
   in
   Library.create ~match_global_phase ()
 
-let run_named engine flow ~config ~request_id ~library ~name circuit =
-  let session =
-    Epoc.Engine.session ~config ~request_id ~library ~name engine
-  in
-  match flow with
-  | "epoc" -> Epoc.Pipeline.compile session circuit
-  | "gate" -> Epoc.Baselines.compile_gate_based session circuit
-  | "accqoc" -> Epoc.Baselines.compile_accqoc_like session circuit
-  | "paqoc" -> Epoc.Baselines.compile_paqoc_like session circuit
-  | other -> invalid_arg ("unknown flow " ^ other)
-
 (* [queue_wait_s], [worker] and [drained] ride on every response —
    success or error — so a job that times out while the daemon drains
    still reports where it waited and who ran it. *)
@@ -158,11 +147,13 @@ let compile st (p : pending) ~request_id ~queue_wait_s ~worker ~drained =
       Protocol.error_response ~jid:p.jid ~request_id ~queue_wait_s ~worker
         ~drained msg
   | Ok circuit -> (
-      let library = library_for job.Protocol.flow config in
+      let flow = job.Protocol.flow in
+      let library = library_for flow config in
       let name = Printf.sprintf "job%d" p.jid in
       match
-        run_named st.engine job.Protocol.flow ~config ~request_id ~library
-          ~name circuit
+        (List.assoc flow Epoc.Baselines.flows)
+          (Epoc.Engine.session ~config ~request_id ~library ~name st.engine)
+          circuit
       with
       | exception e ->
           Protocol.error_response ~jid:p.jid ~request_id ~queue_wait_s ~worker
@@ -170,7 +161,7 @@ let compile st (p : pending) ~request_id ~queue_wait_s ~worker ~drained =
       | result ->
           M.absorb st.runs result.Epoc.Pipeline.metrics;
           Protocol.result_response ~jid:p.jid ~queue_wait_s ~worker ~drained
-            result))
+            ~flow result))
 
 let process st ~worker ~drained (p : pending) =
   let em = Epoc.Engine.metrics st.engine in

@@ -475,7 +475,7 @@ let test_warm_run_domain_determinism () =
     let metrics = M.create () in
     let r =
       Pipeline.compile
-        (Engine.session ~config:cfg ~pool ~metrics ~name:"bb84"
+        (Engine.session ~config:cfg ~metrics ~name:"bb84"
            (Engine.create ~config:cfg ~pool ()))
         circuit
     in

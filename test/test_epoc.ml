@@ -6,11 +6,11 @@ open Epoc
 let op gate qubits = { Circuit.gate; qubits }
 
 (* One-shot session on an ephemeral engine: the migration target of the
-   deleted [Pipeline.run]-style wrappers.  Every resource the old
-   wrappers threaded ([pool], [library]) rides on the session. *)
+   deleted [Pipeline.run]-style wrappers.  The pool the old wrappers
+   threaded rides on the engine, the library on the session. *)
 let session ?(config = Config.default) ?library ?pool ~name () =
   let engine = Engine.create ~config ?pool () in
-  Engine.session ~config ?library ?pool ~name engine
+  Engine.session ~config ?library ~name engine
 
 let compile ?config ?library ?pool ~name c =
   Pipeline.compile (session ?config ?library ?pool ~name ()) c

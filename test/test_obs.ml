@@ -275,6 +275,7 @@ let prop_prometheus_cumulative =
 (* --- flight recorder ------------------------------------------------------ *)
 
 module Flight = Epoc_obs.Flight
+module Trace = Epoc_obs.Trace
 
 let test_flight_ring () =
   let f = Flight.create ~capacity:3 () in
@@ -305,7 +306,7 @@ let test_flight_slow_capture () =
   let forced = ref 0 in
   let trace () =
     incr forced;
-    "{\"traceEvents\":[]}"
+    J.Obj [ ("traceEvents", J.Arr []) ]
   in
   Flight.record f ~id:"fast" ~wall_s:0.2 ~trace J.Null;
   Alcotest.(check int) "fast request does not force the thunk" 0 !forced;
@@ -332,7 +333,7 @@ let test_flight_slow_capture () =
   | _ -> Alcotest.fail "entry_json is not an object"
 
 (* every compile through an engine lands in its flight recorder, and a
-   sub-threshold slow_s captures a parseable Chrome trace *)
+   sub-threshold slow_s captures the run's Chrome trace *)
 let test_flight_records_runs () =
   let config = { Config.default with Config.slow_trace_s = Some 0.0 } in
   let engine = Engine.create ~config () in
@@ -349,7 +350,9 @@ let test_flight_records_runs () =
   | None -> Alcotest.fail "no trace captured at slow_s = 0"
   | Some doc ->
       Alcotest.(check bool) "trace is chrome-event json" true
-        (J.member "traceEvents" (J.parse_exn doc) <> None));
+        (J.member "traceEvents" doc <> None);
+      Alcotest.(check bool) "trace is the result's chrome trace" true
+        (doc = Trace.to_chrome_json r.Pipeline.trace));
   match J.member "summary" (Flight.entry_json e) with
   | Some summary ->
       Alcotest.(check bool) "summary carries the request id" true
@@ -380,7 +383,7 @@ let test_pipeline_metrics_determinism () =
     let metrics = M.create () in
     let _ =
       Pipeline.compile
-        (Engine.session ~pool ~metrics ~name:"simon" (Engine.create ~pool ()))
+        (Engine.session ~metrics ~name:"simon" (Engine.create ~pool ()))
         c
     in
     M.snapshot metrics
@@ -402,7 +405,7 @@ let test_pipeline_metrics_determinism () =
 
 let test_empty_trace_json () =
   let t = Trace.create () in
-  let v = J.parse_exn (Trace.to_json t) in
+  let v = Trace.to_json t in
   Alcotest.(check bool) "events is an explicit empty array" true
     (J.member "events" v = Some (J.Arr []));
   Alcotest.(check bool) "top_level_s is 0" true
@@ -437,7 +440,7 @@ let test_gc_capture () =
 let test_chrome_trace_shape () =
   let c = Epoc_benchmarks.Benchmarks.find "qaoa" in
   let r = Pipeline.compile (Engine.session ~name:"qaoa" (Engine.create ())) c in
-  let v = J.parse_exn (Trace.to_chrome_json r.Pipeline.trace) in
+  let v = Trace.to_chrome_json r.Pipeline.trace in
   let events =
     Option.get (Option.bind (J.member "traceEvents" v) J.to_list)
   in

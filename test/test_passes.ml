@@ -41,17 +41,13 @@ let golden =
     ("adder", "paqoc", (616.00000057226748, 0.9727486446884186, 6, 6, false, 8, 0, 18, 16, 14, 27, 9, 9));
   ]
 
-let session ?pool ~name () =
-  Engine.session ?pool ~name (Engine.create ?pool ())
+module J = Epoc_obs.Json
+module Trace = Epoc_obs.Trace
 
-let compile flow name c =
-  let s = session ~name () in
-  match flow with
-  | "epoc" -> Pipeline.compile s c
-  | "gate" -> Baselines.compile_gate_based s c
-  | "accqoc" -> Baselines.compile_accqoc_like s c
-  | "paqoc" -> Baselines.compile_paqoc_like s c
-  | f -> invalid_arg f
+let session ?pool ~name () = Engine.session ~name (Engine.create ?pool ())
+
+let compile ?pool flow name c =
+  (List.assoc flow Baselines.flows) (session ?pool ~name ()) c
 
 let test_golden_equivalence () =
   List.iter
@@ -89,14 +85,7 @@ let test_baseline_domain_determinism () =
       let c = Epoc_benchmarks.Benchmarks.find bench in
       let run d =
         let pool = Epoc_parallel.Pool.create ~domains:d () in
-        let s = session ~pool ~name:bench () in
-        let r =
-          match flow with
-          | "gate" -> Baselines.compile_gate_based s c
-          | "accqoc" -> Baselines.compile_accqoc_like s c
-          | "paqoc" -> Baselines.compile_paqoc_like s c
-          | f -> invalid_arg f
-        in
+        let r = compile ~pool flow bench c in
         (r.Pipeline.latency, r.Pipeline.esp, r.Pipeline.stats, r.Pipeline.library_stats)
       in
       let l1, e1, s1, ls1 = run 1 in
@@ -221,15 +210,14 @@ let test_trace_structure () =
     (match List.assoc_opt "pulses" pulse_ev.Trace.counters with
     | Some n -> n > 0
     | None -> false);
-  (* json rendering stays parseable in shape *)
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
+  (* the JSON view lists every event, and its rendering parses back *)
   let json = Trace.to_json r.Pipeline.trace in
-  Alcotest.(check bool) "json mentions events" true
-    (String.length json > 0 && json.[0] = '{' && contains json "\"events\"")
+  Alcotest.(check bool) "json lists every event" true
+    (match Option.bind (J.member "events" json) J.to_list with
+    | Some evs -> List.length evs = List.length events
+    | None -> false);
+  Alcotest.(check bool) "json round-trips" true
+    (J.parse_exn (J.to_string json) = json)
 
 (* --- AccQOC similarity ordering ------------------------------------------ *)
 

@@ -149,7 +149,7 @@ let compile ?fault ?retries ?pool name =
   let c = Epoc_benchmarks.Benchmarks.find name in
   let config = grape_config ?fault ?retries () in
   Pipeline.compile
-    (Engine.session ~config ?pool ~name (Engine.create ~config ?pool ()))
+    (Engine.session ~config ~name (Engine.create ~config ?pool ()))
     c
 
 (* First attempt diverges, the jittered retry runs clean: no degradation,

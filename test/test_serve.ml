@@ -172,6 +172,8 @@ let test_live_daemon () =
     | _ -> false);
   Alcotest.(check bool) "steady-state job not marked drained" true
     (J.member "drained" compile_r = None);
+  Alcotest.(check bool) "default job reports flow epoc" true
+    (J.member "flow" compile_r = Some (J.Str "epoc"));
   Alcotest.(check bool) "metrics has engine registry" true
     (J.member "engine" metrics_r <> None);
   Alcotest.(check bool) "metrics has runs aggregate" true
@@ -235,6 +237,12 @@ let test_live_daemon () =
     | None -> false);
   Alcotest.(check bool) "parse error carries code 1" true
     (J.member "code" bad = Some (J.Num 1.0));
+  (* a job's response names the flow it asked for *)
+  let accqoc = rpc {|{"circuit": "bench:bb84", "flow": "accqoc"}|} in
+  Alcotest.(check bool) "accqoc job ok" true
+    (J.member "status" accqoc = Some (J.Str "ok"));
+  Alcotest.(check bool) "accqoc job reports flow accqoc" true
+    (J.member "flow" accqoc = Some (J.Str "accqoc"));
   Unix.close fd;
   (* graceful shutdown: drain, remove the socket, return *)
   Unix.kill (Unix.getpid ()) Sys.sigterm;

@@ -136,6 +136,8 @@ def smoke(path, traces_dir=None):
         check(r.get("worker", -1) >= 0,
               f"{name} reports its worker ({r.get('worker')})")
         check(r.get("stages"), f"{name} carries a per-stage breakdown")
+        check(r.get("flow") == "epoc",
+              f"{name} reports the flow it asked for ({r.get('flow')})")
         check("drained" not in r, f"{name} not marked drained in steady state")
     check(bad.get("request_id"),
           "failed job is still attributable by request id")
@@ -201,6 +203,8 @@ def degraded(path):
     (r,) = rs.values()
     check(r["status"] == "degraded" and r["code"] == 3,
           "faulted GRAPE job: status degraded, code 3 (mirrors CLI exit 3)")
+    check(r.get("flow") == "epoc",
+          f"degraded job reports the flow it asked for ({r.get('flow')})")
     check(r["schedule"]["instructions"],
           "degraded job still returns a valid fallback schedule")
     s.close()
