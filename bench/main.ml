@@ -405,52 +405,24 @@ let ir_roundtrip ?device ~name (s : Epoc_pulse.Schedule.t) =
    regrouping follow each device's real coupling subgraph. *)
 let device_sweep_benchmarks = [ "qaoa"; "bb84" ]
 
-type device_run = {
-  dr_device : string;
-  dr_latency : float;
-  dr_esp : float;
-  dr_pulses : int;
-  dr_compile_s : float;
-  dr_ir_ok : bool;
-}
-
 let device_sweep () =
-  let module D = Epoc_device.Device in
   List.map
     (fun name ->
       let c = Epoc_benchmarks.Benchmarks.find name in
       let run ?device config =
         let r = compile_once ~config ~name c in
-        {
-          dr_device =
-            (match device with
-            | None -> "default"
-            | Some d -> d.D.name);
-          dr_latency = r.Pipeline.latency;
-          dr_esp = r.Pipeline.esp;
-          dr_pulses = r.Pipeline.stats.Pipeline.pulse_count;
-          dr_compile_s = r.Pipeline.compile_time;
-          dr_ir_ok = ir_roundtrip ?device ~name r.Pipeline.schedule;
-        }
+        (r, ir_roundtrip ?device ~name r.Pipeline.schedule)
       in
       let runs =
         run Config.default
         :: List.map
              (fun d -> run ~device:d (Config.with_device d Config.default))
-             (D.Registry.builtins ())
+             (Epoc_device.Device.Registry.builtins ())
       in
       (name, runs))
     device_sweep_benchmarks
 
-(* --- persistent-cache cold/warm sweep ------------------------------------- *)
-
-(* Quantify the cross-run pulse cache (lib/cache): each benchmark compiles
-   twice with GRAPE pulses against the same fresh store directory — the
-   cold run fills it, the warm run resolves every distinct unitary from
-   disk and skips GRAPE.  Latency/ESP must be identical (cached entries
-   carry the exact computed values); compile time is the payoff.  Limited
-   to small benchmarks because the cold GRAPE run is the slow part. *)
-let cache_sweep_benchmarks = [ "bb84"; "simon" ]
+(* --- persistent-store cold/warm sweeps -------------------------------------- *)
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
@@ -458,104 +430,55 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-type cache_run = {
-  cr_compile_s : float;
-  cr_latency : float;
-  cr_esp : float;
-  cr_cache_hits : int;
-  cr_cache_misses : int;
-}
+(* Compile each benchmark twice under [config_of dir], against one fresh
+   store directory: the cold run fills the store, the warm run replays
+   it.  Latency/ESP must be identical (stored entries carry the exact
+   computed values); compile time is the payoff. *)
+let cold_warm_sweep ~store config_of names =
+  List.map
+    (fun name ->
+      let c = Epoc_benchmarks.Benchmarks.find name in
+      let dir =
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "epoc-bench-%s-%d-%s" store (Unix.getpid ()) name)
+      in
+      rm_rf dir;
+      let run () = compile_once ~config:(config_of dir) ~name c in
+      let cold = run () in
+      let warm = run () in
+      rm_rf dir;
+      (name, cold, warm))
+    names
 
+(* The cross-run pulse cache (lib/cache): GRAPE pulses, so the warm run
+   resolves every distinct unitary from disk and skips GRAPE.  Limited to
+   small benchmarks because the cold GRAPE run is the slow part. *)
 let cache_sweep () =
-  List.map
-    (fun name ->
-      let c = Epoc_benchmarks.Benchmarks.find name in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "epoc-bench-cache-%d-%s" (Unix.getpid ()) name)
-      in
-      rm_rf dir;
-      let cfg = { Config.grape with Config.cache_dir = Some dir } in
-      let run () =
-        let lib = Epoc_pulse.Library.create () in
-        let r = compile_once ~config:cfg ~library:lib ~name c in
-        {
-          cr_compile_s = r.Pipeline.compile_time;
-          cr_latency = r.Pipeline.latency;
-          cr_esp = r.Pipeline.esp;
-          cr_cache_hits =
-            Epoc_obs.Metrics.counter_value r.Pipeline.metrics "cache.hits";
-          cr_cache_misses =
-            Epoc_obs.Metrics.counter_value r.Pipeline.metrics "cache.misses";
-        }
-      in
-      let cold = run () in
-      let warm = run () in
-      rm_rf dir;
-      (name, cold, warm))
-    cache_sweep_benchmarks
+  cold_warm_sweep ~store:"cache"
+    (fun dir -> { Config.grape with Config.cache_dir = Some dir })
+    [ "bb84"; "simon" ]
 
-(* --- persistent synthesis-cache cold/warm sweep ---------------------------- *)
-
-(* Quantify the synthesis cache (lib/cache/synth_store.ml): each
-   benchmark compiles twice against the same fresh store directory — the
-   cold run synthesizes every block and fills the store, the warm run
-   replays the stored circuits and never enters QSearch
-   (qsearch.expansions empty).  Latency/ESP must be identical.  iswap's
-   2-qubit block is one QSearch still runs on and wins, so its warm run
-   replays a searched block; bb84's blocks never search (a CNOT lower
-   bound proves their direct forms unbeatable).  iswap's search solves
-   at the root and expands no node, so a row counts its searches
-   ([qsearch_runs]) beside their expansions. *)
-let synth_sweep_benchmarks = [ "bb84"; "iswap" ]
-
-type synth_run = {
-  sr_compile_s : float;
-  sr_latency : float;
-  sr_esp : float;
-  sr_hits : int;
-  sr_misses : int;
-  sr_expansions : int; (* total QSearch node expansions this run *)
-  sr_searches : int; (* QSearch runs this run *)
-}
-
+(* The synthesis cache (lib/cache/synth_store.ml): the warm run replays
+   the stored circuits and never enters QSearch (qsearch.expansions
+   empty).  iswap's 2-qubit block is one QSearch still runs on and wins,
+   so its warm run replays a searched block; bb84's blocks never search
+   (a CNOT lower bound proves their direct forms unbeatable).  iswap's
+   search solves at the root and expands no node, so a row counts its
+   searches ([qsearch_runs]) beside their expansions. *)
 let synth_cache_sweep () =
-  List.map
-    (fun name ->
-      let c = Epoc_benchmarks.Benchmarks.find name in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "epoc-bench-synth-%d-%s" (Unix.getpid ()) name)
-      in
-      rm_rf dir;
-      let cfg = { Config.default with Config.synth_cache_dir = Some dir } in
-      let run () =
-        let r = compile_once ~config:cfg ~name c in
-        let m = r.Pipeline.metrics in
-        let expansions = Epoc_obs.Metrics.hist_value m "qsearch.expansions" in
-        {
-          sr_compile_s = r.Pipeline.compile_time;
-          sr_latency = r.Pipeline.latency;
-          sr_esp = r.Pipeline.esp;
-          sr_hits = Epoc_obs.Metrics.counter_value m "synth.cache.hits";
-          sr_misses = Epoc_obs.Metrics.counter_value m "synth.cache.misses";
-          sr_expansions =
-            (match expansions with
-            | Some h -> int_of_float h.Epoc_obs.Metrics.sum
-            | None -> 0);
-          sr_searches =
-            (match expansions with
-            | Some h -> h.Epoc_obs.Metrics.count
-            | None -> 0);
-        }
-      in
-      let cold = run () in
-      let warm = run () in
-      rm_rf dir;
-      (name, cold, warm))
-    synth_sweep_benchmarks
+  cold_warm_sweep ~store:"synth"
+    (fun dir -> { Config.default with Config.synth_cache_dir = Some dir })
+    [ "bb84"; "iswap" ]
+
+(* QSearch runs of a compile and their total node expansions. *)
+let qsearch_work (r : Pipeline.result) =
+  match Epoc_obs.Metrics.hist_value r.Pipeline.metrics "qsearch.expansions" with
+  | Some h -> (h.Epoc_obs.Metrics.count, int_of_float h.Epoc_obs.Metrics.sum)
+  | None -> (0, 0)
+
+let counter (r : Pipeline.result) =
+  Epoc_obs.Metrics.counter_value r.Pipeline.metrics
 
 (* --- instantiation throughput ------------------------------------------------ *)
 
@@ -687,10 +610,7 @@ let bench_json () =
   let t0 = Unix.gettimeofday () in
   let rows =
     Pool.map pool
-      (fun (name, c) ->
-        let lib = Epoc_pulse.Library.create () in
-        let r = compile_once ~library:lib ~name c in
-        (name, c, r, Epoc_pulse.Library.stats lib))
+      (fun (name, c) -> (name, c, compile_once ~name c))
       (Epoc_benchmarks.Benchmarks.table1 ())
   in
   (* GRAPE throughput: iterations per second on a 1-qubit 24-slot solve,
@@ -745,9 +665,16 @@ let bench_json () =
   let dev_sweep = device_sweep () in
   let total_s = Unix.gettimeofday () -. t0 in
   let per_s n wall = float_of_int n /. wall in
-  let cold_warm run_json (name, cold, warm) =
+  (* every row renders its result through the summary (these are all
+     EPOC-flow compiles) and adds the fields only its section has *)
+  let row ?(extra = []) r = J.Obj (Pipeline.summary ~flow:"epoc" r @ extra) in
+  let cold_warm ?(extra = fun _ -> []) (name, cold, warm) =
     J.Obj
-      [ ("name", J.Str name); ("cold", run_json cold); ("warm", run_json warm) ]
+      [
+        ("name", J.Str name);
+        ("cold", row ~extra:(extra cold) cold);
+        ("warm", row ~extra:(extra warm) warm);
+      ]
   in
   let doc =
     J.Obj
@@ -758,60 +685,40 @@ let bench_json () =
         ( "benchmarks",
           J.Arr
             (List.map
-               (fun (name, c, (r : Pipeline.result), s) ->
-                 let st = r.Pipeline.stats in
+               (fun (name, c, (r : Pipeline.result)) ->
+                 let s = r.Pipeline.library_stats in
                  J.Obj
-                   [
-                     ("name", J.Str name);
-                     ("qubits", J.of_int (Circuit.n_qubits c));
-                     ("gates", J.of_int (Circuit.gate_count c));
-                     ("compile_s", J.Num r.Pipeline.compile_time);
-                     ("latency_ns", J.Num r.Pipeline.latency);
-                     ("esp", J.Num r.Pipeline.esp);
-                     ("pulses", J.of_int st.Pipeline.pulse_count);
-                     ("blocks", J.of_int st.Pipeline.blocks);
-                     ("degraded_blocks", J.of_int st.Pipeline.degraded_blocks);
-                     ("retries", J.of_int st.Pipeline.retries);
-                     ( "ir_roundtrip",
-                       J.Bool (ir_roundtrip ~name r.Pipeline.schedule) );
-                     ( "library",
-                       J.Obj
-                         [
-                           ("hits", J.of_int s.Epoc_pulse.Library.hits);
-                           ("misses", J.of_int s.Epoc_pulse.Library.misses);
-                           ("entries", J.of_int s.Epoc_pulse.Library.entries);
-                         ] );
-                     ("stages", Epoc_obs.Trace.stages_json r.Pipeline.trace);
-                     ("metrics", Epoc_obs.Metrics.to_json r.Pipeline.metrics);
-                   ])
+                   ([
+                      ("name", J.Str name);
+                      ("qubits", J.of_int (Circuit.n_qubits c));
+                      ("gates", J.of_int (Circuit.gate_count c));
+                      ("blocks", J.of_int r.Pipeline.stats.Pipeline.blocks);
+                    ]
+                   @ Pipeline.summary ~flow:"epoc" r
+                   @ [
+                       ( "ir_roundtrip",
+                         J.Bool (ir_roundtrip ~name r.Pipeline.schedule) );
+                       ( "library",
+                         J.Obj
+                           [
+                             ("hits", J.of_int s.Epoc_pulse.Library.hits);
+                             ("misses", J.of_int s.Epoc_pulse.Library.misses);
+                             ("entries", J.of_int s.Epoc_pulse.Library.entries);
+                           ] );
+                       ("stages", Epoc_obs.Trace.stages_json r.Pipeline.trace);
+                       ("metrics", Epoc_obs.Metrics.to_json r.Pipeline.metrics);
+                     ]))
                rows) );
-        ( "cache_sweep",
-          J.Arr
-            (List.map
-               (cold_warm (fun r ->
-                    J.Obj
-                      [
-                        ("compile_s", J.Num r.cr_compile_s);
-                        ("latency_ns", J.Num r.cr_latency);
-                        ("esp", J.Num r.cr_esp);
-                        ("cache_hits", J.of_int r.cr_cache_hits);
-                        ("cache_misses", J.of_int r.cr_cache_misses);
-                      ]))
-               sweep) );
+        ("cache_sweep", J.Arr (List.map cold_warm sweep));
         ( "synth_cache_sweep",
           J.Arr
             (List.map
-               (cold_warm (fun r ->
-                    J.Obj
-                      [
-                        ("compile_s", J.Num r.sr_compile_s);
-                        ("latency_ns", J.Num r.sr_latency);
-                        ("esp", J.Num r.sr_esp);
-                        ("synth_cache_hits", J.of_int r.sr_hits);
-                        ("synth_cache_misses", J.of_int r.sr_misses);
-                        ("qsearch_expansions", J.of_int r.sr_expansions);
-                        ("qsearch_runs", J.of_int r.sr_searches);
-                      ]))
+               (cold_warm ~extra:(fun r ->
+                    let runs, expansions = qsearch_work r in
+                    [
+                      ("qsearch_expansions", J.of_int expansions);
+                      ("qsearch_runs", J.of_int runs);
+                    ]))
                synth_sweep) );
         ( "device_sweep",
           J.Arr
@@ -823,16 +730,8 @@ let bench_json () =
                      ( "runs",
                        J.Arr
                          (List.map
-                            (fun r ->
-                              J.Obj
-                                [
-                                  ("device", J.Str r.dr_device);
-                                  ("latency_ns", J.Num r.dr_latency);
-                                  ("esp", J.Num r.dr_esp);
-                                  ("pulses", J.of_int r.dr_pulses);
-                                  ("compile_s", J.Num r.dr_compile_s);
-                                  ("ir_roundtrip", J.Bool r.dr_ir_ok);
-                                ])
+                            (fun (r, ir_ok) ->
+                              row ~extra:[ ("ir_roundtrip", J.Bool ir_ok) ] r)
                             runs) );
                    ])
                dev_sweep) );
@@ -887,7 +786,7 @@ let bench_json () =
   output_string oc (J.to_string ~indent:true doc ^ "\n");
   close_out oc;
   List.iter
-    (fun (name, _, (r : Pipeline.result), _) ->
+    (fun (name, _, (r : Pipeline.result)) ->
       Printf.printf "%-12s compile %8.4f s   latency %10.1f ns\n" name
         r.Pipeline.compile_time r.Pipeline.latency)
     rows;
@@ -901,44 +800,51 @@ let bench_json () =
     (per_s sm.sm_steps sm.sm_wall_s)
     (sm.sm_minor_words /. float_of_int sm.sm_steps)
     sm.sm_steps;
+  let same (cold : Pipeline.result) (warm : Pipeline.result) =
+    Printf.sprintf "latency %s, esp %s"
+      (if cold.Pipeline.latency = warm.Pipeline.latency then "identical"
+       else "DIFFERS")
+      (if cold.Pipeline.esp = warm.Pipeline.esp then "identical" else "DIFFERS")
+  in
   Printf.printf "\ncold/warm pulse-cache sweep (GRAPE pulses):\n";
   List.iter
-    (fun (name, cold, warm) ->
+    (fun (name, (cold : Pipeline.result), (warm : Pipeline.result)) ->
+      let cold_s = cold.Pipeline.compile_time
+      and warm_s = warm.Pipeline.compile_time in
       Printf.printf
-        "%-12s cold %8.3f s -> warm %8.3f s (%5.1fx, %d cache hits, \
-         latency %s, esp %s)\n"
-        name cold.cr_compile_s warm.cr_compile_s
-        (if warm.cr_compile_s > 0.0 then cold.cr_compile_s /. warm.cr_compile_s
-         else 0.0)
-        warm.cr_cache_hits
-        (if cold.cr_latency = warm.cr_latency then "identical" else "DIFFERS")
-        (if cold.cr_esp = warm.cr_esp then "identical" else "DIFFERS"))
+        "%-12s cold %8.3f s -> warm %8.3f s (%5.1fx, %d cache hits, %s)\n"
+        name cold_s warm_s
+        (if warm_s > 0.0 then cold_s /. warm_s else 0.0)
+        (counter warm "cache.hits") (same cold warm))
     sweep;
   Printf.printf "\ncold/warm synthesis-cache sweep:\n";
   List.iter
-    (fun (name, cold, warm) ->
+    (fun (name, (cold : Pipeline.result), (warm : Pipeline.result)) ->
+      let cold_runs, cold_expansions = qsearch_work cold in
       Printf.printf
         "%-12s cold %8.3f s (%d searches, %d expansions) -> warm %8.3f s \
-         (%d hits, %d searches, latency %s, esp %s)\n"
-        name cold.sr_compile_s cold.sr_searches cold.sr_expansions
-        warm.sr_compile_s warm.sr_hits warm.sr_searches
-        (if cold.sr_latency = warm.sr_latency then "identical" else "DIFFERS")
-        (if cold.sr_esp = warm.sr_esp then "identical" else "DIFFERS"))
+         (%d hits, %d searches, %s)\n"
+        name cold.Pipeline.compile_time cold_runs cold_expansions
+        warm.Pipeline.compile_time
+        (counter warm "synth.cache.hits")
+        (fst (qsearch_work warm))
+        (same cold warm))
     synth_sweep;
   Printf.printf "\ndevice-zoo sweep (latency/ESP per topology, IR round trip):\n";
   List.iter
     (fun (name, runs) ->
       List.iter
-        (fun r ->
+        (fun ((r : Pipeline.result), ir_ok) ->
           Printf.printf
             "%-12s %-12s latency %10.1f ns   esp %7.4f   pulses %3d   ir %s\n"
-            name r.dr_device r.dr_latency r.dr_esp r.dr_pulses
-            (if r.dr_ir_ok then "ok" else "FAILED"))
+            name r.Pipeline.device r.Pipeline.latency r.Pipeline.esp
+            r.Pipeline.stats.Pipeline.pulse_count
+            (if ir_ok then "ok" else "FAILED"))
         runs)
     dev_sweep;
   (if
      List.exists
-       (fun (_, runs) -> List.exists (fun r -> not r.dr_ir_ok) runs)
+       (fun (_, runs) -> List.exists (fun (_, ok) -> not ok) runs)
        dev_sweep
    then begin
      Printf.eprintf "error: pulse-IR round trip failed in the device sweep\n";

@@ -130,19 +130,18 @@ let fault_arg =
   Arg.(value & opt (some fault_conv) None
        & info [ "fault" ] ~docv:"SPEC" ~env:(Cmd.Env.info "EPOC_FAULT") ~doc)
 
-(* Exit status of a compile: 0 = clean, 3 = valid schedule but some
-   blocks degraded to gate pulses (1 instead under --strict), 1 = hard
-   error. *)
+(* Exit status of a compile: the summary's code (0 = clean, 3 = valid
+   schedule but some blocks degraded to gate pulses), or 1 under
+   --strict when blocks degraded. *)
 let exit_status ~strict (r : Epoc.Pipeline.result) =
   let degraded = r.Epoc.Pipeline.stats.Epoc.Pipeline.degraded_blocks in
-  if degraded = 0 then 0
-  else if strict then begin
+  if strict && degraded > 0 then begin
     Printf.eprintf
       "error: %d block(s) degraded to gate-pulse playback (--strict)\n"
       degraded;
     1
   end
-  else 3
+  else snd (Epoc.Pipeline.status r)
 
 let cache_arg =
   let doc =
@@ -306,8 +305,9 @@ let compile_one ~spec ~flow ~device_spec ~gc ~chrome config =
                 chrome;
               Some (engine, config, result)))
 
-let report (r : Epoc.Pipeline.result) show =
-  Printf.printf "flow             : %s\n" r.Epoc.Pipeline.name;
+let report ~flow (r : Epoc.Pipeline.result) show =
+  Printf.printf "flow             : %s\n" flow;
+  Printf.printf "circuit          : %s\n" r.Epoc.Pipeline.name;
   Printf.printf "request          : %s\n" r.Epoc.Pipeline.request_id;
   Printf.printf "latency          : %.1f ns\n" r.Epoc.Pipeline.latency;
   Printf.printf "fidelity (ESP)   : %.4f\n" r.Epoc.Pipeline.esp;
@@ -362,7 +362,7 @@ let compile_cmd =
           print_endline
             (J.to_string ~indent:true (T.to_json result.Epoc.Pipeline.trace))
         else begin
-          report result schedule;
+          report ~flow result schedule;
           if trace then Format.printf "@.%a@." T.pp result.Epoc.Pipeline.trace
         end;
         exit_status ~strict result
@@ -382,22 +382,18 @@ let compile_cmd =
    parsing. *)
 let report_schema_version = 1
 
-let report_json (r : Epoc.Pipeline.result) metrics ~process =
+let report_json ~flow (r : Epoc.Pipeline.result) ~process =
   J.Obj
-    [
-      ("schema_version", J.of_int report_schema_version);
-      ("name", J.Str r.Epoc.Pipeline.name);
-      ("request_id", J.Str r.Epoc.Pipeline.request_id);
-      ("latency_ns", J.Num r.Epoc.Pipeline.latency);
-      ("esp", J.Num r.Epoc.Pipeline.esp);
-      ("compile_s", J.Num r.Epoc.Pipeline.compile_time);
-      ( "degraded_blocks",
-        J.of_int r.Epoc.Pipeline.stats.Epoc.Pipeline.degraded_blocks );
-      ("retries", J.of_int r.Epoc.Pipeline.stats.Epoc.Pipeline.retries);
-      ("stages", T.stages_json r.Epoc.Pipeline.trace);
-      ("metrics", M.to_json metrics);
-      ("process", M.to_json process);
-    ]
+    ([
+       ("schema_version", J.of_int report_schema_version);
+       ("name", J.Str r.Epoc.Pipeline.name);
+     ]
+    @ Epoc.Pipeline.summary ~flow r
+    @ [
+        ("stages", T.stages_json r.Epoc.Pipeline.trace);
+        ("metrics", M.to_json r.Epoc.Pipeline.metrics);
+        ("process", M.to_json process);
+      ])
 
 (* One histogram: count, sum (for [grape.iterations], the GRAPE
    iterations of the whole compile), mean and range. *)
@@ -408,8 +404,8 @@ let pp_hist_row name (h : M.hist_snapshot) =
     (if h.M.count = 0 then 0.0 else h.M.vmin)
     (if h.M.count = 0 then 0.0 else h.M.vmax)
 
-let report_text (r : Epoc.Pipeline.result) metrics ~process =
-  report r false;
+let report_text ~flow (r : Epoc.Pipeline.result) metrics ~process =
+  report ~flow r false;
   (* stage table: aggregated wall clock and GC per pass *)
   Printf.printf "\nstages (aggregated over candidates):\n";
   Printf.printf "  %-26s %5s %12s %12s %12s %7s\n" "stage" "calls" "wall ms"
@@ -495,8 +491,8 @@ let report_cmd =
             ^ M.to_prometheus ~prefix:"epoc_run_" metrics)
         else if json then
           print_endline
-            (J.to_string ~indent:true (report_json result metrics ~process))
-        else report_text result metrics ~process;
+            (J.to_string ~indent:true (report_json ~flow result ~process))
+        else report_text ~flow result metrics ~process;
         exit_status ~strict result
   in
   let json_flag =
@@ -539,10 +535,7 @@ let flight_arg =
     "Flight-recorder capacity: how many completed requests the daemon \
      retains for {\"cmd\":\"recent\"} / epoc top."
   in
-  Arg.(
-    value
-    & opt int Epoc.Config.default.Epoc.Config.flight_capacity
-    & info [ "flight" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 64 & info [ "flight" ] ~docv:"N" ~doc)
 
 let slow_trace_arg =
   let doc =
@@ -558,13 +551,6 @@ let slow_trace_arg =
 let serve_cmd =
   let run socket workers flight slow_trace device_spec config verbosity =
     setup_logs verbosity;
-    let config =
-      {
-        config with
-        Epoc.Config.flight_capacity = max 1 flight;
-        slow_trace_s = slow_trace;
-      }
-    in
     (* daemon-wide default device; jobs can override per request with
        {"device": ...}, resolved against the engine's registry *)
     match
@@ -575,7 +561,14 @@ let serve_cmd =
         Printf.eprintf "error: %s\n" m;
         1
     | Ok config ->
-        Epoc_serve.Server.run { Epoc_serve.Server.socket; workers; config }
+        Epoc_serve.Server.run
+          {
+            Epoc_serve.Server.socket;
+            workers;
+            config;
+            flight_capacity = max 1 flight;
+            slow_trace_s = slow_trace;
+          }
   in
   let term =
     Term.(
@@ -658,31 +651,24 @@ let print_top metrics recent =
     | Some n -> n
     | None -> 0);
   if entries <> [] then begin
-    Printf.printf "  %-6s %-10s %-8s %-6s %s\n" "id" "wall s" "status"
-      "trace" "name";
+    Printf.printf "  %-6s %-10s %-8s %-6s %-7s %-12s %s\n" "id" "wall s"
+      "status" "trace" "flow" "device" "name";
     List.iter
       (fun e ->
-        let str path = Option.bind (J.member path e) J.to_str in
-        let summary = J.member "summary" e in
-        let name =
+        let summary name =
           Option.value ~default:"-"
-            (Option.bind summary (fun s ->
-                 Option.bind (J.member "name" s) J.to_str))
+            (Option.bind (J.member "summary" e) (fun s ->
+                 Option.bind (J.member name s) J.to_str))
         in
-        let degraded =
-          Option.value ~default:0.0
-            (Option.bind summary (fun s ->
-                 Option.bind (J.member "degraded_blocks" s) J.to_num))
-        in
-        Printf.printf "  %-6s %-10.3f %-8s %-6s %s\n"
-          (Option.value ~default:"-" (str "id"))
+        Printf.printf "  %-6s %-10.3f %-8s %-6s %-7s %-12s %s\n"
+          (Option.value ~default:"-" (Option.bind (J.member "id" e) J.to_str))
           (Option.value ~default:0.0
              (Option.bind (J.member "wall_s" e) J.to_num))
-          (if degraded > 0.0 then "degr" else "ok")
+          (summary "status")
           (match J.member "trace_captured" e with
           | Some (J.Bool true) -> "yes"
           | _ -> "-")
-          name)
+          (summary "flow") (summary "device") (summary "name"))
       entries
   end
 

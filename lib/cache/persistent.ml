@@ -65,7 +65,6 @@ module Make (C : CODEC) = struct
      lock taken inside [flush]. *)
   let flush_lock = Mutex.create ()
 
-  let dir t = t.dir
   let path t = Filename.concat t.dir C.records_file
 
   let header_line =
@@ -117,8 +116,8 @@ module Make (C : CODEC) = struct
   (* Load every valid record line; unparsable lines (a torn trailing write,
      manual editing) are counted and skipped, never fatal.  Records the
      codec considers equal to an already-loaded one collapse into a single
-     in-memory entry, so [entry_count] counts distinct entries even over a
-     store written before flush-time deduplication existed.
+     in-memory entry, so [merged_count] counts distinct entries even over
+     a store written before flush-time deduplication existed.
 
      Parsed entries are keyed by [C.key] as read, which is the key they
      were recorded under: a record holds the entry its key was computed
@@ -144,7 +143,7 @@ module Make (C : CODEC) = struct
                   (i + 2) m))
       lines
 
-  let entry_count_unlocked t =
+  let count_entries t =
     Hashtbl.fold (fun _ b acc -> acc + List.length b) t.table 0
 
   let open_dir dir =
@@ -169,7 +168,7 @@ module Make (C : CODEC) = struct
             Log.warn (fun f ->
                 f "cache %s: ignoring existing store (%s); it will be rewritten"
                   (path t) reason)));
-    t.merged <- entry_count_unlocked t;
+    t.merged <- count_entries t;
     Log.debug (fun f ->
         f "cache %s: %d entries loaded, %d lines skipped" (path t) t.loaded
           t.skipped);
@@ -177,7 +176,6 @@ module Make (C : CODEC) = struct
 
   (* --- queries -------------------------------------------------------------- *)
 
-  let entry_count t = locked t (fun () -> entry_count_unlocked t)
   let pending_count t = locked t (fun () -> List.length t.pending)
   let loaded_count t = t.loaded
   let skipped_count t = t.skipped

@@ -72,7 +72,6 @@ module Make (C : CODEC) : sig
       in-memory entry. *)
   val open_dir : string -> t
 
-  val dir : t -> string
 
   (** First entry in [key]'s bucket satisfying the predicate. *)
   val find : t -> key:string -> (C.entry -> bool) -> C.entry option
@@ -94,9 +93,6 @@ module Make (C : CODEC) : sig
       parsed once.  No-op when nothing is pending. *)
   val flush : t -> unit
 
-  (** Number of distinct entries currently held in memory. *)
-  val entry_count : t -> int
-
   (** Number of records queued but not yet flushed. *)
   val pending_count : t -> int
 
@@ -109,8 +105,8 @@ module Make (C : CODEC) : sig
 
   (** Number of distinct records known to be on disk after the last
       {!flush} (or after {!open_dir}, before any flush).  This is the
-      durable-store size — unlike {!entry_count} it never counts a
-      record twice and unlike {!loaded_count} it tracks flush merges, so
-      it is the right value for the [cache.entries] gauge. *)
+      durable-store size — it never counts a record twice and unlike
+      {!loaded_count} it tracks flush merges, so it is the right value
+      for the [cache.entries] gauge. *)
   val merged_count : t -> int
 end

@@ -156,7 +156,6 @@ let open_dir = P.open_dir
 
 (* --- queries --------------------------------------------------------------- *)
 
-let entry_count = P.entry_count
 let pending_count = P.pending_count
 let loaded_count = P.loaded_count
 let skipped_count = P.skipped_count

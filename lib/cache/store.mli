@@ -100,9 +100,6 @@ val absorb_library : t -> Library.t -> unit
     pending. *)
 val flush : t -> unit
 
-(** Number of entries currently held in memory (loaded + recorded). *)
-val entry_count : t -> int
-
 (** Number of records queued but not yet flushed. *)
 val pending_count : t -> int
 
@@ -113,8 +110,8 @@ val loaded_count : t -> int
 val skipped_count : t -> int
 
 (** Number of distinct records on disk after the last {!flush} (or after
-    {!open_dir}, before any flush).  Unlike {!entry_count} this never
-    counts semantically equal records twice — e.g. after recovering a
+    {!open_dir}, before any flush).  This never counts semantically
+    equal records twice — e.g. after recovering a
     torn write whose record a concurrent writer also re-solved — so it
     is the value the pipeline reports as [cache.entries]. *)
 val merged_count : t -> int

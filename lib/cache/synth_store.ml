@@ -49,51 +49,10 @@ let gate_to_json (g : Gate.t) =
       | [] -> Json.Obj base
       | ps -> Json.Obj (base @ [ ("p", Json.Arr (List.map (fun v -> Json.Num v) ps)) ]))
 
-let gate_of_parts name (params : float list) (matrix : Mat.t option) :
-    Gate.t option =
-  match (name, params) with
-  | "id", [] -> Some Gate.I
-  | "x", [] -> Some Gate.X
-  | "y", [] -> Some Gate.Y
-  | "z", [] -> Some Gate.Z
-  | "h", [] -> Some Gate.H
-  | "s", [] -> Some Gate.S
-  | "sdg", [] -> Some Gate.Sdg
-  | "t", [] -> Some Gate.T
-  | "tdg", [] -> Some Gate.Tdg
-  | "sx", [] -> Some Gate.SX
-  | "sxdg", [] -> Some Gate.SXdg
-  | "rx", [ a ] -> Some (Gate.RX a)
-  | "ry", [ a ] -> Some (Gate.RY a)
-  | "rz", [ a ] -> Some (Gate.RZ a)
-  | "p", [ a ] -> Some (Gate.Phase a)
-  | "u3", [ a; b; c ] -> Some (Gate.U3 (a, b, c))
-  | "cx", [] -> Some Gate.CX
-  | "cy", [] -> Some Gate.CY
-  | "cz", [] -> Some Gate.CZ
-  | "ch", [] -> Some Gate.CH
-  | "swap", [] -> Some Gate.SWAP
-  | "iswap", [] -> Some Gate.ISWAP
-  | "crx", [ a ] -> Some (Gate.CRX a)
-  | "cry", [ a ] -> Some (Gate.CRY a)
-  | "crz", [ a ] -> Some (Gate.CRZ a)
-  | "cp", [ a ] -> Some (Gate.CPhase a)
-  | "rxx", [ a ] -> Some (Gate.RXX a)
-  | "ryy", [ a ] -> Some (Gate.RYY a)
-  | "rzz", [ a ] -> Some (Gate.RZZ a)
-  | "ccx", [] -> Some Gate.CCX
-  | "ccz", [] -> Some Gate.CCZ
-  | "cswap", [] -> Some Gate.CSWAP
-  | _ -> (
-      (* Anything else (VUGs, daggered composites) must carry its matrix. *)
-      match matrix with
-      | Some m -> Some (Gate.Unitary { name; matrix = m })
-      | None -> None)
-
 let gate_of_json j =
   match Option.bind (Json.member "g" j) Json.to_str with
   | None -> None
-  | Some name ->
+  | Some name -> (
       let params =
         match Json.member "p" j with
         | Some pj ->
@@ -101,15 +60,20 @@ let gate_of_json j =
               (Option.map (List.filter_map Json.to_num) (Json.to_list pj))
         | None -> []
       in
-      let matrix =
-        match
-          ( Option.bind (Json.member "gd" j) Json.to_int,
-            Json.member "m" j )
-        with
-        | Some gd, Some mj when gd >= 1 -> Mat_json.of_json gd mj
-        | _ -> None
-      in
-      gate_of_parts name params matrix
+      match Gate.of_name name params with
+      | Some _ as g -> g
+      | None -> (
+          (* anything else (VUGs, daggered composites) must carry its
+             matrix *)
+          match
+            ( Option.bind (Json.member "gd" j) Json.to_int,
+              Json.member "m" j )
+          with
+          | Some gd, Some mj when gd >= 1 ->
+              Option.map
+                (fun matrix -> Gate.Unitary { name; matrix })
+                (Mat_json.of_json gd mj)
+          | _ -> None))
 
 let op_to_json (op : Circuit.op) =
   match gate_to_json op.Circuit.gate with
@@ -234,7 +198,6 @@ module P = Persistent.Make (Codec)
 type t = P.t
 
 let open_dir dir = P.open_dir dir
-let entry_count = P.entry_count
 let pending_count = P.pending_count
 let loaded_count = P.loaded_count
 let skipped_count = P.skipped_count

@@ -64,9 +64,6 @@ val to_block_result : entry -> Synthesis.block_result
     merging with concurrent writers' appends. *)
 val flush : t -> unit
 
-(** Number of distinct entries currently held in memory. *)
-val entry_count : t -> int
-
 (** Number of records queued but not yet flushed. *)
 val pending_count : t -> int
 

@@ -99,6 +99,46 @@ let params = function
   | U3 (a, b, c) -> [ a; b; c ]
   | _ -> []
 
+(* The named gate of a name and parameter list: the inverse of [name]
+   and [params], so [of_name (name g) (params g) = Some g] for every
+   constructor but [Unitary].  The one gate-name table: the QASM parser
+   adds its aliases on top, the synthesis store its [Unitary] fallback. *)
+let of_name name params =
+  match (name, params) with
+  | "id", [] -> Some I
+  | "x", [] -> Some X
+  | "y", [] -> Some Y
+  | "z", [] -> Some Z
+  | "h", [] -> Some H
+  | "s", [] -> Some S
+  | "sdg", [] -> Some Sdg
+  | "t", [] -> Some T
+  | "tdg", [] -> Some Tdg
+  | "sx", [] -> Some SX
+  | "sxdg", [] -> Some SXdg
+  | "rx", [ a ] -> Some (RX a)
+  | "ry", [ a ] -> Some (RY a)
+  | "rz", [ a ] -> Some (RZ a)
+  | "p", [ a ] -> Some (Phase a)
+  | "u3", [ a; b; c ] -> Some (U3 (a, b, c))
+  | "cx", [] -> Some CX
+  | "cy", [] -> Some CY
+  | "cz", [] -> Some CZ
+  | "ch", [] -> Some CH
+  | "swap", [] -> Some SWAP
+  | "iswap", [] -> Some ISWAP
+  | "crx", [ a ] -> Some (CRX a)
+  | "cry", [ a ] -> Some (CRY a)
+  | "crz", [ a ] -> Some (CRZ a)
+  | "cp", [ a ] -> Some (CPhase a)
+  | "rxx", [ a ] -> Some (RXX a)
+  | "ryy", [ a ] -> Some (RYY a)
+  | "rzz", [ a ] -> Some (RZZ a)
+  | "ccx", [] -> Some CCX
+  | "ccz", [] -> Some CCZ
+  | "cswap", [] -> Some CSWAP
+  | _ -> None
+
 let to_string g =
   match params g with
   | [] -> name g

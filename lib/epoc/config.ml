@@ -49,12 +49,6 @@ type t = {
   block_deadline : float option;
   max_retries : int;
   fault : Epoc_fault.spec option;
-  (* observability: how many completed requests the engine's flight
-     recorder retains, and the slow threshold (seconds) past which a
-     request's full Chrome trace is captured automatically ([None] =
-     never capture) *)
-  flight_capacity : int;
-  slow_trace_s : float option;
   (* target device ([None] = the default chain model).  Set via
      [with_device] so [dt]/[t_coherence] stay consistent with the
      device's calibration; only the block-model lookup
@@ -100,8 +94,6 @@ let default =
     block_deadline = None;
     max_retries = 2;
     fault = None;
-    flight_capacity = 64;
-    slow_trace_s = None;
     device = None;
   }
 

@@ -59,13 +59,6 @@ type t = {
       (** deterministic fault injection, off by default.  The library
           never reads [EPOC_FAULT] itself; the CLI and the fault tests
           wire the environment through this field. *)
-  flight_capacity : int;
-      (** how many completed requests the engine's flight recorder
-          ({!Epoc_obs.Flight}) retains *)
-  slow_trace_s : float option;
-      (** slow threshold, seconds: a request whose compile wall clock
-          meets it gets its full Chrome trace captured in the flight
-          recorder ([None] = never capture) *)
   device : Epoc_device.Device.t option;
       (** target device; [None] is the default model, a uniform chain
           over each block's local qubits.  Read only by the block-model

@@ -40,7 +40,6 @@ type t = {
   devices : Epoc_device.Device.Registry.registry;
       (* device zoo: builtins plus loaded device files; name -> device *)
   metrics : Metrics.t; (* engine registry: infrastructure, not per-run *)
-  flight : Epoc_obs.Flight.t; (* last-N completed requests, slow traces *)
   next_rid : int Atomic.t; (* request-id counter; unique per engine *)
 }
 
@@ -66,9 +65,6 @@ let create ?(config = Config.default) ?domains ?pool () =
     hardware = Hardware.Memo.create ();
     devices = Epoc_device.Device.Registry.create ();
     metrics;
-    flight =
-      Epoc_obs.Flight.create ~capacity:config.Config.flight_capacity
-        ?slow_s:config.Config.slow_trace_s ();
     next_rid = Atomic.make 1;
   }
 
@@ -78,12 +74,11 @@ let cache t = t.cache
 let synth t = t.synth
 let devices t = t.devices
 let metrics t = t.metrics
-let flight t = t.flight
 
 (* The next request id on this engine: "r1", "r2", ...  Ids are unique
    per engine and stable for the lifetime of a request — they thread
-   through the session into every pass ctx and onto the result, the
-   flight-recorder entry and (in the serve daemon) the response line. *)
+   through the session into every pass ctx and onto the result and (in
+   the serve daemon) the response line and the flight-recorder entry. *)
 let next_request_id t =
   Printf.sprintf "r%d" (Atomic.fetch_and_add t.next_rid 1)
 
@@ -107,8 +102,10 @@ let flush t =
    library by default; passing a private one isolates the request (the
    serve daemon does this so each job resolves exactly like a one-shot
    run, with cross-request reuse flowing through the engine store) and
-   the caller decides whether to absorb it back.  The pool and stores
-   are always the engine's, read through [s_engine]. *)
+   the caller decides whether to absorb it back.  Either is replaced by
+   a fresh private library when its convention disagrees with the
+   session config ([library_for]).  The pool and stores are always the
+   engine's, read through [s_engine]. *)
 type session = {
   s_engine : t;
   s_config : Config.t;
@@ -122,20 +119,18 @@ type session = {
   s_fault : Epoc_fault.spec option;
 }
 
-(* The session library for [config]: the caller's, or the engine's when
-   this request's matching convention agrees with it — a phase-sensitive
-   request (AccQOC/PAQOC configs) against a phase-invariant engine
-   library would otherwise alias distinct unitaries.  Device runs share
-   it too: their entries carry the block's hardware context, so they
-   never answer a probe on another model. *)
-let library_for t (config : Config.t) = function
-  | Some l -> l
-  | None ->
-      if
-        Library.match_global_phase t.library
-        = config.Config.match_global_phase
-      then t.library
-      else Library.create ~match_global_phase:config.Config.match_global_phase ()
+(* The session library for [config]: the caller's, else the engine's,
+   as long as its matching convention agrees with [config] — a
+   phase-sensitive request (AccQOC/PAQOC configs) against a
+   phase-invariant library would otherwise alias distinct unitaries.
+   On disagreement the session gets a fresh private library.  Device
+   runs share the engine's too: their entries carry the block's
+   hardware context, so they never answer a probe on another model. *)
+let library_for t (config : Config.t) explicit =
+  let phase = config.Config.match_global_phase in
+  match Option.value explicit ~default:t.library with
+  | l when Library.match_global_phase l = phase -> l
+  | _ -> Library.create ~match_global_phase:phase ()
 
 let session ?(config = Config.default) ?request_id ?library ?trace ?metrics
     ~name t =
@@ -158,7 +153,8 @@ let session ?(config = Config.default) ?request_id ?library ?trace ?metrics
 
 (* The same session under a different config: identity (engine, name,
    request id) and sinks carry over; the library, budget and fault spec
-   re-derive from the new config.  The baselines use this to apply their
+   re-derive from the new config (the caller's library is kept when its
+   convention agrees with it).  The baselines use this to apply their
    config transforms to a caller's session. *)
 let with_config config s =
   {

@@ -54,12 +54,6 @@ val devices : t -> Epoc_device.Device.Registry.registry
     those live in each session's registry. *)
 val metrics : t -> Metrics.t
 
-(** The engine's flight recorder: the last [config.flight_capacity]
-    completed requests, each with a JSON summary, plus the full Chrome
-    trace of any request slower than [config.slow_trace_s].  Recorded
-    by {!Pipeline.compile_flow} on every compile through this engine. *)
-val flight : t -> Epoc_obs.Flight.t
-
 (** The next request id on this engine (["r1"], ["r2"], ...).  Ids are
     unique per engine; {!session} draws one automatically when the
     caller does not supply its own. *)
@@ -109,8 +103,9 @@ val session :
 (** The same session under a different config: identity (engine, name,
     request id) and sinks carry over; the library, budget and fault
     spec re-derive from the new config (an explicitly passed library is
-    kept).  The baselines use this to apply their config transforms to
-    a caller's session. *)
+    kept when its convention agrees with the new config, and replaced
+    by a fresh private one otherwise).  The baselines use this to apply
+    their config transforms to a caller's session. *)
 val with_config : Config.t -> session -> session
 
 val session_engine : session -> t

@@ -30,6 +30,7 @@ open Epoc_pulse
 open Epoc_parallel
 module Metrics = Epoc_obs.Metrics
 module Trace = Epoc_obs.Trace
+module Json = Epoc_obs.Json
 module Store = Epoc_cache.Store
 module Synth_store = Epoc_cache.Synth_store
 
@@ -49,6 +50,7 @@ type stage_stats = {
 type result = {
   name : string;
   request_id : string; (* stable identity of this compile request *)
+  device : string; (* target device name; "default" for the chain model *)
   latency : float; (* ns *)
   esp : float;
   compile_time : float; (* s *)
@@ -138,7 +140,6 @@ let compile_candidate (ctx : Pass.ctx) passes ir0 ((optimized : Circuit.t), zx_u
    budget, fault spec) is the session's own. *)
 let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
   let t0 = Unix.gettimeofday () in
-  let engine = Engine.session_engine session in
   let config = Engine.session_config session in
   let name = Engine.session_name session in
   let ctx = Pass.of_session session in
@@ -262,47 +263,13 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
       Metrics.set metrics "synth.cache.entries"
         (float_of_int (Synth_store.merged_count store)))
     synth_store;
-  let request_id = Engine.session_request_id session in
-  (* flight-recorder entry: a bounded JSON summary of this request on the
-     engine, plus the full Chrome trace when the compile was slow.  Both
-     live on engine-owned state, outside the determinism contract. *)
-  let module Json = Epoc_obs.Json in
-  let fingerprint = Digest.to_hex (Digest.string (Circuit.to_string circuit)) in
-  let flight_payload =
-    Json.Obj
-      [
-        ("request_id", Json.Str request_id);
-        ("name", Json.Str name);
-        ("circuit", Json.Str fingerprint);
-        ( "mode",
-          Json.Str
-            (match config.Config.qoc_mode with
-            | Config.Grape -> "grape"
-            | Config.Estimate -> "estimate") );
-        ("latency_ns", Json.Num latency);
-        ("esp", Json.Num esp);
-        ("compile_s", Json.Num compile_time);
-        ("degraded_blocks", Json.of_int stats.degraded_blocks);
-        ("retries", Json.of_int stats.retries);
-        ("cache_hits", Json.of_int (Metrics.counter_value metrics "cache.hits"));
-        ( "cache_near_hits",
-          Json.of_int (Metrics.counter_value metrics "cache.near_hits") );
-        ( "cache_misses",
-          Json.of_int (Metrics.counter_value metrics "cache.misses") );
-        ( "synth_cache_hits",
-          Json.of_int (Metrics.counter_value metrics "synth.cache.hits") );
-        ( "synth_cache_misses",
-          Json.of_int (Metrics.counter_value metrics "synth.cache.misses") );
-        ("stages_s", Trace.stage_walls_json trace);
-      ]
-  in
-  Epoc_obs.Flight.record (Engine.flight engine) ~id:request_id
-    ~wall_s:compile_time
-    ~trace:(fun () -> Trace.to_chrome_json trace)
-    flight_payload;
   {
     name;
-    request_id;
+    request_id = Engine.session_request_id session;
+    device =
+      (match config.Config.device with
+      | Some d -> d.Epoc_device.Device.name
+      | None -> "default");
     latency;
     esp;
     compile_time;
@@ -316,3 +283,41 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
 
 (* Compile through the full EPOC flow, in [session]. *)
 let compile session (circuit : Circuit.t) = compile_flow session epoc_flow circuit
+
+(* --- the result summary ------------------------------------------------- *)
+
+(* The CLI exit contract of a finished compile: ok/0, or degraded/3 when
+   some block plays gate pulses instead of an optimized pulse. *)
+let status r =
+  if r.stats.degraded_blocks = 0 then ("ok", 0) else ("degraded", 3)
+
+(* The one rendering of a result that every reader shares: report --json,
+   serve responses, the daemon's flight recorder and bench rows each add
+   their own fields around these, so a number reads the same wherever it
+   is read. *)
+let summary ~flow r =
+  let status, code = status r in
+  let count name = Json.of_int (Metrics.counter_value r.metrics name) in
+  [
+    ("request_id", Json.Str r.request_id);
+    ("flow", Json.Str flow);
+    ("device", Json.Str r.device);
+    ( "mode",
+      Json.Str
+        (match r.qoc_mode with
+        | Config.Grape -> "grape"
+        | Config.Estimate -> "estimate") );
+    ("status", Json.Str status);
+    ("code", Json.of_int code);
+    ("latency_ns", Json.Num r.latency);
+    ("esp", Json.Num r.esp);
+    ("compile_s", Json.Num r.compile_time);
+    ("pulses", Json.of_int r.stats.pulse_count);
+    ("degraded_blocks", Json.of_int r.stats.degraded_blocks);
+    ("retries", Json.of_int r.stats.retries);
+    ("cache_hits", count "cache.hits");
+    ("cache_near_hits", count "cache.near_hits");
+    ("cache_misses", count "cache.misses");
+    ("synth_cache_hits", count "synth.cache.hits");
+    ("synth_cache_misses", count "synth.cache.misses");
+  ]

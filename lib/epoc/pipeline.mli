@@ -32,7 +32,10 @@ type result = {
   request_id : string;
       (** stable identity of this compile request (from the engine, or
           the caller's [?request_id]); the same id prefixes the run's
-          logs and keys its flight-recorder entry *)
+          logs and, in the serve daemon, keys its flight-recorder entry *)
+  device : string;
+      (** name of the target device; ["default"] for the default chain
+          model *)
   latency : float;  (** ns *)
   esp : float;
   compile_time : float;  (** s *)
@@ -67,13 +70,25 @@ type flow = {
     disk before returning; when a synthesis store is attached the run's
     fresh per-block syntheses (carried on the IR — candidate compilation
     never writes shared state) are recorded and flushed the same way,
-    and warm reruns replay them instead of searching.
-
-    Every run records a summary entry (and, past the engine's slow
-    threshold, a full Chrome trace) into the engine's flight recorder,
-    keyed by the result's [request_id]. *)
+    and warm reruns replay them instead of searching. *)
 val compile_flow : Engine.session -> flow -> Circuit.t -> result
 
 (** Compile a circuit through the full EPOC flow ({!compile_flow} over
     the EPOC flow). *)
 val compile : Engine.session -> Circuit.t -> result
+
+(** {1 Result summary} *)
+
+(** The CLI exit contract of a result: [("ok", 0)], or
+    [("degraded", 3)] when some block degraded to gate-pulse playback. *)
+val status : result -> string * int
+
+(** The result summary: the flat fields every reader of a compile
+    shares — [request_id], [flow] (the caller's flow name), [device],
+    [mode], [status] and [code] ({!status}), [latency_ns], [esp],
+    [compile_s], [pulses], [degraded_blocks], [retries] and the cache
+    traffic ([cache_hits], [cache_near_hits], [cache_misses],
+    [synth_cache_hits], [synth_cache_misses]).  [epoc report --json],
+    serve responses, the daemon's flight recorder and
+    [BENCH_pipeline.json] rows each add their own fields to it. *)
+val summary : flow:string -> result -> (string * Epoc_obs.Json.t) list

@@ -3,18 +3,18 @@
 
    Each completed request is recorded as an [entry]: an identifier, its
    wall-clock duration, an arbitrary JSON summary payload (the caller
-   decides what a request looks like — the pipeline stores id, circuit
-   fingerprint, flow/mode, timings, stop reasons, degraded blocks and
-   cache outcome) and, when the request exceeded the recorder's slow
+   decides what a request looks like — the serve daemon stores each
+   job's result summary with its session name, circuit fingerprint and
+   per-stage seconds) and, when the request exceeded the recorder's slow
    threshold, its trace document as a [Json.t] value.  The trace is
    passed as a thunk and only forced for slow requests, so fast
    requests pay nothing beyond the summary.
 
    The buffer is mutex-guarded and strictly bounded: once [capacity]
    entries are held, recording evicts the oldest.  Recording is a
-   side-effect on engine-owned state and therefore — like every other
-   engine registry — *outside* the pipeline's determinism contract;
-   per-run metric registries never flow through here. *)
+   side-effect on daemon-owned state and therefore — like the engine
+   registry — *outside* the pipeline's determinism contract; per-run
+   metric registries never flow through here. *)
 
 type entry = {
   f_id : string; (* request id; unique per engine *)

@@ -1,10 +1,11 @@
 (** Flight recorder: a bounded, mutex-guarded ring buffer of the last N
     completed requests, with automatic trace capture for slow ones.
 
-    The recorder is engine-owned state — like the engine metrics
-    registry it sits {e outside} the pipeline's determinism contract
-    (recording order under concurrency is arbitrary); per-run metric
-    registries never flow through it. *)
+    The serve daemon owns one and records every completed job's result
+    summary into it.  Like the engine metrics registry it sits
+    {e outside} the pipeline's determinism contract (recording order
+    under concurrency is arbitrary); per-run metric registries never
+    flow through it. *)
 
 type entry = {
   f_id : string;  (** request id; unique per engine *)

@@ -243,44 +243,19 @@ type gate_def = {
   d_body : body_stmt list;
 }
 
-(* Builtin gates: name -> arity in (params, qubits), constructor. *)
+(* Builtin gates: qelib1's aliases on top of the gate set's own names
+   ([Gate.of_name]). *)
 let builtin name (params : float list) : Gate.t option =
   match (name, params) with
-  | ("id" | "I"), [] -> Some Gate.I
-  | "x", [] -> Some Gate.X
-  | "y", [] -> Some Gate.Y
-  | "z", [] -> Some Gate.Z
-  | "h", [] -> Some Gate.H
-  | "s", [] -> Some Gate.S
-  | "sdg", [] -> Some Gate.Sdg
-  | "t", [] -> Some Gate.T
-  | "tdg", [] -> Some Gate.Tdg
-  | "sx", [] -> Some Gate.SX
-  | "sxdg", [] -> Some Gate.SXdg
-  | "rx", [ a ] -> Some (Gate.RX a)
-  | "ry", [ a ] -> Some (Gate.RY a)
-  | "rz", [ a ] -> Some (Gate.RZ a)
-  | ("u1" | "p" | "phase"), [ a ] -> Some (Gate.Phase a)
-  | "u2", [ a; b ] -> Some (Gate.U3 (Float.pi /. 2.0, a, b))
-  | ("u3" | "u" | "U"), [ a; b; c ] -> Some (Gate.U3 (a, b, c))
-  | ("u" | "U"), [ a; b ] -> Some (Gate.U3 (Float.pi /. 2.0, a, b))
-  | ("cx" | "CX"), [] -> Some Gate.CX
-  | "cy", [] -> Some Gate.CY
-  | "cz", [] -> Some Gate.CZ
-  | "ch", [] -> Some Gate.CH
-  | "swap", [] -> Some Gate.SWAP
-  | "iswap", [] -> Some Gate.ISWAP
-  | "crx", [ a ] -> Some (Gate.CRX a)
-  | "cry", [ a ] -> Some (Gate.CRY a)
-  | "crz", [ a ] -> Some (Gate.CRZ a)
-  | ("cu1" | "cp"), [ a ] -> Some (Gate.CPhase a)
-  | "rxx", [ a ] -> Some (Gate.RXX a)
-  | "ryy", [ a ] -> Some (Gate.RYY a)
-  | "rzz", [ a ] -> Some (Gate.RZZ a)
-  | ("ccx" | "toffoli"), [] -> Some Gate.CCX
-  | "ccz", [] -> Some Gate.CCZ
-  | ("cswap" | "fredkin"), [] -> Some Gate.CSWAP
-  | _ -> None
+  | "I", [] -> Some Gate.I
+  | ("u1" | "phase"), [ a ] -> Some (Gate.Phase a)
+  | ("u2" | "u" | "U"), [ a; b ] -> Some (Gate.U3 (Float.pi /. 2.0, a, b))
+  | ("u" | "U"), [ a; b; c ] -> Some (Gate.U3 (a, b, c))
+  | "CX", [] -> Some Gate.CX
+  | "cu1", [ a ] -> Some (Gate.CPhase a)
+  | "toffoli", [] -> Some Gate.CCX
+  | "fredkin", [] -> Some Gate.CSWAP
+  | _ -> Gate.of_name name params
 
 (* --- top-level parse --------------------------------------------------- *)
 

@@ -18,10 +18,15 @@
    {"cmd": "trace", "id": "r12"} (the captured Chrome trace of one slow
    request).  Responses carry the job id, a status mirroring the CLI
    exit contract (ok=0, degraded=3, error=1), and either the schedule +
-   per-run metrics or an error message:
+   per-run metrics or an error message.  A success line is the job id,
+   the result summary (Epoc.Pipeline.summary: request id, flow, device,
+   mode, status, code, latency, ESP, compile time, pulses, resilience
+   and cache counts), the serve bookkeeping, and the stage breakdown,
+   schedule and per-run registry:
 
-     {"jid": 1, "status": "ok", "code": 0, "request_id": "r1",
-      "queue_wait_s": 0.004, "worker": 0, "flow": "epoc", "stages": {...},
+     {"jid": 1, "request_id": "r1", "flow": "epoc", "device": "default",
+      "mode": "estimate", "status": "ok", "code": 0, "latency_ns": 37.5,
+      ..., "queue_wait_s": 0.004, "worker": 0, "stages": {...},
       "schedule": {...}, "metrics": {...}}
      {"jid": 2, "status": "error", "code": 1, "error": "..."}
 
@@ -114,16 +119,6 @@ let parse_request (line : string) : (request, string) result =
 
 (* --- responses ------------------------------------------------------------ *)
 
-(* Per-job status string and its CLI-exit-contract mirror. *)
-let code_of_status = function
-  | "ok" -> 0
-  | "degraded" -> 3
-  | _ -> 1
-
-let status_of_result (r : Epoc.Pipeline.result) =
-  if r.Epoc.Pipeline.stats.Epoc.Pipeline.degraded_blocks = 0 then "ok"
-  else "degraded"
-
 let schedule_json (s : Schedule.t) =
   J.Obj
     [
@@ -157,29 +152,15 @@ let serve_fields ?queue_wait_s ?worker ?(drained = false) () =
   @ (match worker with Some w -> [ ("worker", J.of_int w) ] | None -> [])
   @ if drained then [ ("drained", J.Bool true) ] else []
 
-let result_response ~jid ?queue_wait_s ?worker ?drained ~flow
+(* Success line: the job id, the result summary (which carries the
+   job's status and code), the serve bookkeeping, then the stage
+   breakdown, the schedule and the per-run registry. *)
+let result_response ~jid ?queue_wait_s ?worker ?drained ~summary
     (r : Epoc.Pipeline.result) =
-  let status = status_of_result r in
   J.Obj
-    ([
-       ("jid", J.of_int jid);
-       ("status", J.Str status);
-       ("code", J.of_int (code_of_status status));
-       ("request_id", J.Str r.Epoc.Pipeline.request_id);
-     ]
+    ((("jid", J.of_int jid) :: summary)
     @ serve_fields ?queue_wait_s ?worker ?drained ()
     @ [
-        ("flow", J.Str flow);
-        ("esp", J.Num r.Epoc.Pipeline.esp);
-        ("compile_s", J.Num r.Epoc.Pipeline.compile_time);
-        ( "degraded_blocks",
-          J.of_int r.Epoc.Pipeline.stats.Epoc.Pipeline.degraded_blocks );
-        ( "synth_cache_hits",
-          J.of_int
-            (M.counter_value r.Epoc.Pipeline.metrics "synth.cache.hits") );
-        ( "synth_cache_misses",
-          J.of_int
-            (M.counter_value r.Epoc.Pipeline.metrics "synth.cache.misses") );
         ("stages", Epoc_obs.Trace.stage_walls_json r.Epoc.Pipeline.trace);
         ("schedule", schedule_json r.Epoc.Pipeline.schedule);
         ("metrics", M.to_json r.Epoc.Pipeline.metrics);

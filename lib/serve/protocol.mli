@@ -13,9 +13,11 @@
       slow request).
 
     Responses mirror the CLI exit contract per job: [status]
-    "ok"/"degraded"/"error" with [code] 0/3/1, plus the job's flow, the
-    schedule, per-run metrics registry, the request id and serve
-    bookkeeping (queue wait, worker id, drained flag) on success.  Unreadable
+    "ok"/"degraded"/"error" with [code] 0/3/1.  A success carries the
+    result summary ({!Epoc.Pipeline.summary}: request id, flow, device,
+    mode, status, code, latency, ESP, compile time, pulses, resilience
+    and cache counts), the schedule, the per-run metrics registry and
+    serve bookkeeping (queue wait, worker id, drained flag).  Unreadable
     lines get ["parse: <detail>"] errors whose detail carries the
     byte offset the JSON parser stopped at.  This module is pure
     data; the socket loop lives in {!Server}. *)
@@ -49,22 +51,19 @@ type request =
     ["parse: <detail at byte offset>"]. *)
 val parse_request : string -> (request, string) result
 
-(** 0 for "ok", 3 for "degraded", 1 otherwise — the CLI exit contract. *)
-val code_of_status : string -> int
-
-val status_of_result : Epoc.Pipeline.result -> string
 val schedule_json : Schedule.t -> J.t
 
-(** Success line: status/code, the result's request id, serve
+(** Success line: the job id, the result's [summary]
+    ({!Epoc.Pipeline.summary}, which carries status and code), serve
     bookkeeping ([queue_wait_s], [worker], [drained] — emitted only
-    when supplied), the job's [flow], the per-stage wall-clock
-    breakdown under [stages], the schedule and the per-run registry. *)
+    when supplied), the per-stage wall-clock breakdown under [stages],
+    the schedule and the per-run registry. *)
 val result_response :
   jid:int ->
   ?queue_wait_s:float ->
   ?worker:int ->
   ?drained:bool ->
-  flow:string ->
+  summary:(string * J.t) list ->
   Epoc.Pipeline.result ->
   J.t
 

@@ -360,9 +360,38 @@ let prop_inverse_cancels =
       let u = Circuit.unitary (Circuit.append c (Circuit.inverse c)) in
       Mat.approx_equal ~eps:1e-7 u (Mat.identity (Mat.rows u)))
 
+(* every named constructor, parameters drawn at random *)
+let arb_named_gate =
+  let open QCheck.Gen in
+  let angle = float_range (-4.0 *. Float.pi) (4.0 *. Float.pi) in
+  let one_param =
+    [
+      (fun a -> Gate.RX a); (fun a -> Gate.RY a); (fun a -> Gate.RZ a);
+      (fun a -> Gate.Phase a); (fun a -> Gate.CRX a); (fun a -> Gate.CRY a);
+      (fun a -> Gate.CRZ a); (fun a -> Gate.CPhase a); (fun a -> Gate.RXX a);
+      (fun a -> Gate.RYY a); (fun a -> Gate.RZZ a);
+    ]
+  in
+  QCheck.make ~print:Gate.to_string
+    (oneof
+       [
+         oneofl (List.filter (fun g -> Gate.params g = []) all_named_gates);
+         map2 (fun make a -> make a) (oneofl one_param) angle;
+         map3 (fun a b c -> Gate.U3 (a, b, c)) angle angle angle;
+       ])
+
+let prop_of_name_inverts_name =
+  QCheck.Test.make ~name:"of_name inverts name and params" ~count:200
+    arb_named_gate (fun g -> Gate.of_name (Gate.name g) (Gate.params g) = Some g)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_peephole_sound; prop_circuit_unitary_is_unitary; prop_inverse_cancels ]
+    [
+      prop_peephole_sound;
+      prop_circuit_unitary_is_unitary;
+      prop_inverse_cancels;
+      prop_of_name_inverts_name;
+    ]
 
 let () =
   Alcotest.run "circuit"

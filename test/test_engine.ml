@@ -78,8 +78,9 @@ let test_hardware_memo () =
   Alcotest.(check bool) "recalibration gets its own context" false
     (recal_block.Epoc_qoc.Hardware.context = context)
 
-(* a session shares the engine library only when its config's matching
-   convention agrees; the phase-sensitive baselines get a private one *)
+(* a session keeps the engine library, or the caller's, only when its
+   config's matching convention agrees; otherwise it gets a private one
+   under the config's convention — also after a config transform *)
 let test_session_library_convention () =
   let e = Engine.create () in
   let s_default = Engine.session ~name:"a" e in
@@ -92,7 +93,28 @@ let test_session_library_convention () =
   Alcotest.(check bool) "mismatched convention isolates" false
     (Engine.session_library s_sensitive == Engine.library e);
   Alcotest.(check bool) "private library follows the session config" false
-    (Library.match_global_phase (Engine.session_library s_sensitive))
+    (Library.match_global_phase (Engine.session_library s_sensitive));
+  (* an explicit library: kept when it agrees, replaced when it does not *)
+  let mine = Library.create () in
+  let s_mine = Engine.session ~library:mine ~name:"c" e in
+  Alcotest.(check bool) "agreeing explicit library kept" true
+    (Engine.session_library s_mine == mine);
+  let s_mine_sensitive =
+    Engine.session ~config:phase_sensitive ~library:mine ~name:"d" e
+  in
+  Alcotest.(check bool) "disagreeing explicit library replaced" false
+    (Engine.session_library s_mine_sensitive == mine);
+  Alcotest.(check bool) "replacement follows the session config" false
+    (Library.match_global_phase (Engine.session_library s_mine_sensitive));
+  (* the baselines' transform: the caller's library is swapped for the
+     transformed config and comes back when the convention agrees again *)
+  let transformed = Engine.with_config phase_sensitive s_mine in
+  Alcotest.(check bool) "transform to a disagreeing config replaces it" false
+    (Engine.session_library transformed == mine
+    || Library.match_global_phase (Engine.session_library transformed));
+  Alcotest.(check bool) "transform back keeps the caller's library" true
+    (Engine.session_library (Engine.with_config Config.default transformed)
+    == mine)
 
 (* The engine library is shared across reuse contexts — block models
    and QoC modes — and its entries answer only their own context's
@@ -154,8 +176,7 @@ let test_request_ids () =
   Alcotest.(check int) "100 concurrent draws, all distinct" 100
     (List.length (List.sort_uniq compare ids))
 
-(* the id rides through the pipeline onto the result and keys the
-   engine's flight recorder *)
+(* the id rides through the pipeline onto the result *)
 let test_request_id_on_result () =
   let e = Engine.create () in
   let r1 = run ~engine:e ~name:"bb84" (bb84 ()) in
@@ -167,16 +188,6 @@ let test_request_id_on_result () =
   in
   Alcotest.(check string) "caller-supplied id" "srv-7"
     given.Pipeline.request_id;
-  (* every run landed in the flight recorder under its id *)
-  let f = Engine.flight e in
-  Alcotest.(check int) "three entries" 3 (Epoc_obs.Flight.length f);
-  List.iter
-    (fun id ->
-      Alcotest.(check bool)
-        (Printf.sprintf "flight holds %s" id)
-        true
-        (Epoc_obs.Flight.find f id <> None))
-    [ "r1"; "r2"; "srv-7" ];
   (* one-shot runs (ephemeral engine) still stamp an id *)
   let solo = run ~name:"bb84" (bb84 ()) in
   Alcotest.(check string) "one-shot id" "r1" solo.Pipeline.request_id
@@ -306,7 +317,7 @@ let () =
         [
           Alcotest.test_case "engine-scoped uniqueness" `Quick
             test_request_ids;
-          Alcotest.test_case "threaded onto results and flight" `Quick
+          Alcotest.test_case "threaded onto results" `Quick
             test_request_id_on_result;
         ] );
       ( "warm repeat",

@@ -86,14 +86,35 @@ let test_parse_errors () =
   Alcotest.(check bool) "semantic error unprefixed" false
     (starts_with "parse: " m)
 
+(* the summary's status mapping: ok/0 for a clean compile, degraded/3
+   once a block plays gate pulses; errors answer error/1 *)
 let test_status_codes () =
-  Alcotest.(check int) "ok -> 0" 0 (P.code_of_status "ok");
-  Alcotest.(check int) "degraded -> 3" 3 (P.code_of_status "degraded");
-  Alcotest.(check int) "error -> 1" 1 (P.code_of_status "error");
+  let r =
+    Epoc.Pipeline.compile
+      (Epoc.Engine.session ~name:"bell" (Epoc.Engine.create ()))
+      (Epoc_benchmarks.Benchmarks.find "bell")
+  in
+  let status_code (r : Epoc.Pipeline.result) =
+    let summary = Epoc.Pipeline.summary ~flow:"epoc" r in
+    (List.assoc "status" summary, List.assoc "code" summary)
+  in
+  Alcotest.(check bool) "ok -> 0" true
+    (status_code r = (J.Str "ok", J.Num 0.0));
+  let degraded =
+    {
+      r with
+      Epoc.Pipeline.stats =
+        { r.Epoc.Pipeline.stats with Epoc.Pipeline.degraded_blocks = 2 };
+    }
+  in
+  Alcotest.(check bool) "degraded -> 3" true
+    (status_code degraded = (J.Str "degraded", J.Num 3.0));
   match P.error_response ~jid:9 "boom" with
   | J.Obj fields ->
       Alcotest.(check bool) "jid" true (List.assoc "jid" fields = J.Num 9.0);
-      Alcotest.(check bool) "code" true (List.assoc "code" fields = J.Num 1.0)
+      Alcotest.(check bool) "error -> 1" true
+        (List.assoc "status" fields = J.Str "error"
+        && List.assoc "code" fields = J.Num 1.0)
   | _ -> Alcotest.fail "error response is not an object"
 
 (* --- live daemon ----------------------------------------------------------- *)
@@ -119,12 +140,17 @@ let test_live_daemon () =
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   (* slow threshold 0: every request counts as slow, so the flight
      recorder captures a retrievable Chrome trace for each job *)
-  let config = { Epoc.Config.default with Epoc.Config.slow_trace_s = Some 0.0 } in
-  let daemon =
-    Thread.create
-      (fun () -> ignore (Server.run { Server.socket = sock; workers = 2; config }))
-      ()
+  let config = Epoc.Config.default in
+  let opts =
+    {
+      Server.socket = sock;
+      workers = 2;
+      config;
+      flight_capacity = 64;
+      slow_trace_s = Some 0.0;
+    }
   in
+  let daemon = Thread.create (fun () -> ignore (Server.run opts)) () in
   let rec await_socket n =
     if Sys.file_exists sock then ()
     else if n = 0 then Alcotest.fail "socket never appeared"
@@ -207,24 +233,68 @@ let test_live_daemon () =
     (contains "epoc_serve_queue_wait_seconds_count 1" text);
   Alcotest.(check bool) "runs aggregate exposed" true
     (contains "epoc_run_pipeline_runs_total 1" text);
-  let recent = rpc {|{"cmd": "recent"}|} in
-  (match Option.bind (J.member "recent" recent) J.to_list with
-  | Some [ entry ] ->
-      Alcotest.(check bool) "flight entry is the served job" true
-        (J.member "id" entry = Some (J.Str rid));
-      Alcotest.(check bool) "trace captured at slow_s 0" true
-        (J.member "trace_captured" entry = Some (J.Bool true))
-  | Some l -> Alcotest.failf "expected 1 flight entry, got %d" (List.length l)
-  | None -> Alcotest.fail "recent response has no entries");
+  (* the numbers agree: a response's latency is its schedule's, and its
+     flight entry — keyed by the response's request id — carries the
+     job's flow and the response's value for every summary key *)
+  let summary_keys = List.map fst (Epoc.Pipeline.summary ~flow:"epoc" solo) in
+  let recorded response ~flow =
+    let rid =
+      Option.get (Option.bind (J.member "request_id" response) J.to_str)
+    in
+    Alcotest.(check bool) (rid ^ ": latency_ns is the schedule's") true
+      (J.member "latency_ns" response <> None
+      && J.member "latency_ns" response
+         = Option.bind (J.member "schedule" response) (J.member "latency_ns"));
+    let entries =
+      Option.value ~default:[]
+        (Option.bind (J.member "recent" (rpc {|{"cmd": "recent"}|})) J.to_list)
+    in
+    match
+      List.find_opt (fun e -> J.member "id" e = Some (J.Str rid)) entries
+    with
+    | None -> Alcotest.failf "no flight entry for %s" rid
+    | Some entry ->
+        let summary = Option.get (J.member "summary" entry) in
+        Alcotest.(check bool) (rid ^ ": entry names its flow") true
+          (J.member "flow" summary = Some (J.Str flow));
+        List.iter
+          (fun key ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: entry %s equals the response's" rid key)
+              true
+              (J.member key response <> None
+              && J.member key summary = J.member key response))
+          summary_keys;
+        Alcotest.(check bool)
+          (rid ^ ": entry stages_s is the response's stages")
+          true
+          (J.member "stages_s" summary = J.member "stages" response);
+        (entries, entry)
+  in
+  let entries, entry = recorded compile_r ~flow:"epoc" in
+  Alcotest.(check int) "one flight entry" 1 (List.length entries);
+  Alcotest.(check bool) "slow at 0s threshold" true
+    (J.member "slow" entry = Some (J.Bool true));
+  Alcotest.(check bool) "trace captured at slow_s 0" true
+    (J.member "trace_captured" entry = Some (J.Bool true));
   let trace =
     rpc (J.to_string (J.Obj [ ("cmd", J.Str "trace"); ("id", J.Str rid) ]))
   in
   Alcotest.(check bool) "trace fetch ok" true
     (J.member "status" trace = Some (J.Str "ok"));
-  Alcotest.(check bool) "trace is chrome-event json" true
-    (match J.member "trace" trace with
-    | Some doc -> J.member "traceEvents" doc <> None
-    | None -> false);
+  let event_names =
+    match Option.bind (J.member "trace" trace) (J.member "traceEvents") with
+    | Some (J.Arr events) ->
+        List.filter_map
+          (fun e -> Option.bind (J.member "name" e) J.to_str)
+          events
+    | _ -> Alcotest.fail "trace is not chrome-event json"
+  in
+  Alcotest.(check bool) "trace spans every stage of the response" true
+    (match J.member "stages" compile_r with
+    | Some (J.Obj stages) ->
+        List.for_all (fun (stage, _) -> List.mem stage event_names) stages
+    | _ -> false);
   (* reject paths over the wire *)
   let unknown = rpc {|{"cmd": "trace", "id": "r999"}|} in
   Alcotest.(check bool) "unknown trace id errors" true
@@ -243,6 +313,8 @@ let test_live_daemon () =
     (J.member "status" accqoc = Some (J.Str "ok"));
   Alcotest.(check bool) "accqoc job reports flow accqoc" true
     (J.member "flow" accqoc = Some (J.Str "accqoc"));
+  let entries, _ = recorded accqoc ~flow:"accqoc" in
+  Alcotest.(check int) "two flight entries" 2 (List.length entries);
   Unix.close fd;
   (* graceful shutdown: drain, remove the socket, return *)
   Unix.kill (Unix.getpid ()) Sys.sigterm;

@@ -16,7 +16,12 @@ Modes:
                                   slow trace.
   serve_smoke.py SOCKET degraded  one GRAPE job against a daemon started
                                   with a fault spec: expects status
-                                  "degraded", code 3.
+                                  "degraded", code 3, in the response
+                                  and in its flight-recorder entry.
+
+Every compile response's latency_ns must equal its schedule's, and its
+flight-recorder entry must carry the job's flow and the response's value
+for every result-summary key.
 
 Options:
   --traces DIR   write captured Chrome traces (one JSON file per
@@ -57,6 +62,15 @@ def rpc(f, requests):
     return responses
 
 
+# The result summary every reader of a compile shares (Pipeline.summary).
+SUMMARY_KEYS = [
+    "request_id", "flow", "device", "mode", "status", "code",
+    "latency_ns", "esp", "compile_s", "pulses", "degraded_blocks",
+    "retries", "cache_hits", "cache_near_hits", "cache_misses",
+    "synth_cache_hits", "synth_cache_misses",
+]
+
+
 def check(cond, msg):
     if not cond:
         raise SystemExit(f"FAIL: {msg}")
@@ -73,6 +87,28 @@ def parse_prometheus(text):
         name, _, value = line.rpartition(" ")
         series[name] = float(value)
     return series
+
+
+def check_numbers_agree(f, responses, flow):
+    """Each response's latency is its schedule's, and its flight entry
+    (keyed by request id) carries the job's flow and the response's
+    value for every summary key."""
+    (recent_r,) = rpc(f, [{"cmd": "recent"}]).values()
+    entries = {e["id"]: e["summary"] for e in recent_r["recent"]}
+    for name, r in responses:
+        check(r.get("latency_ns") == r["schedule"]["latency_ns"],
+              f"{name} latency_ns equals its schedule's "
+              f"({r.get('latency_ns')})")
+        entry = entries.get(r["request_id"])
+        check(entry is not None,
+              f"{name} has a flight entry under {r['request_id']}")
+        check(entry.get("flow") == flow,
+              f"{name} flight entry names flow {flow} ({entry.get('flow')})")
+        differ = [k for k in SUMMARY_KEYS
+                  if k not in r or entry.get(k) != r[k]]
+        check(not differ,
+              f"{name} flight entry agrees with the response on every "
+              f"summary key (differ: {differ})")
 
 
 def smoke(path, traces_dir=None):
@@ -177,6 +213,8 @@ def smoke(path, traces_dir=None):
     flight_ids = {e["id"] for e in entries}
     check(flight_ids == rids - {bad["request_id"]},
           "flight entries keyed by the compile request ids")
+    check_numbers_agree(f, [("bb84", bb84), ("qaoa", qaoa), ("warm", warm_r)],
+                        "epoc")
 
     captured = [e for e in entries if e.get("trace_captured")]
     if traces_dir:
@@ -207,6 +245,7 @@ def degraded(path):
           f"degraded job reports the flow it asked for ({r.get('flow')})")
     check(r["schedule"]["instructions"],
           "degraded job still returns a valid fallback schedule")
+    check_numbers_agree(f, [("degraded", r)], "epoc")
     s.close()
     print("degraded smoke passed")
 
