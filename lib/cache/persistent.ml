@@ -5,7 +5,6 @@
 
      <records_file>   header line + one JSON record per line (append-only)
      lock             advisory lock file serializing flushes across processes
-     .<records_file>.tmp.<pid>   transient; flushes write here, then rename
 
    The header line carries {"format", "schema_version"}; a format or
    version mismatch makes the store start empty (with a warning) rather
@@ -14,16 +13,27 @@
    matching convention of its own (store.ml argues why the pulse store
    needs none).  Records are one JSON object per line, so a crash
    mid-write can only damage the trailing record; loading skips any
-   unparsable line with a warning and never raises.  Flushes re-read the file under the file lock, merge the
-   pending records after whatever other writers appended, write the merged
-   file to a temp file in the same directory and [Unix.rename] it into
-   place — readers always see either the old or the new complete file.
+   unparsable line with a warning and never raises.
 
-   Concurrency: the in-process [t.lock] mutex guards the table and the
-   pending queue; [flush_lock] serializes flushes between domains of one
-   process (POSIX record locks do not exclude threads of the owning
-   process); [Unix.lockf] on the lock file serializes flushes between
-   processes. *)
+   A flush appends.  Every writer appends whole lines under the file
+   lock, so a handle only has to read what others appended since its own
+   last read or write: it keeps the file's device, inode and the offset
+   just past the last whole line it has seen, parses the lines past that
+   offset into its table, and appends its pending records that none of
+   them equals in one write.  A flush that finds the file replaced (a
+   different inode, shorter than the offset, or starting with another
+   header line; builds that merged by rewriting rename a temp file into
+   place) reads it from its header, and one that finds no header this
+   build speaks rewrites the file as the header and the pending records.
+   Under the lock, bytes after the last newline are a torn write, cut
+   off before appending.
+
+   Concurrency: the in-process [t.lock] mutex guards the table, the
+   pending queue and the counters; [flush_lock] serializes flushes
+   between domains of one process (POSIX record locks do not exclude
+   threads of the owning process), so only one flush at a time reads or
+   moves a handle's mark; [Unix.lockf] on the lock file serializes
+   flushes between processes.  Opening takes no lock. *)
 
 module Json = Epoc_obs.Json
 
@@ -45,6 +55,55 @@ module type CODEC = sig
   val of_line : string -> (entry, string) result
 end
 
+(* How far a handle has seen the record file: its device and inode, its
+   header line, and the offset just past the last whole line the handle
+   read or wrote. *)
+type mark = { dev : int; ino : int; header : string; pos : int }
+
+let rec mkdir_p dir =
+  let parent = Filename.dirname dir in
+  if parent <> dir && not (Sys.file_exists parent) then mkdir_p parent;
+  if not (Sys.file_exists dir) then
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+
+(* The bytes of [fd] from [pos] up to [size]. *)
+let read_from fd ~pos ~size =
+  let buf = Bytes.create (size - pos) in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  let rec go off =
+    if off = Bytes.length buf then off
+    else
+      match Unix.read fd buf off (Bytes.length buf - off) with
+      | 0 -> off
+      | n -> go (off + n)
+  in
+  Bytes.sub_string buf 0 (go 0)
+
+(* The stats and bytes of the file at [path], [None] if it cannot be
+   read. *)
+let read_file path =
+  try
+    let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        let st = Unix.fstat fd in
+        Some (st, read_from fd ~pos:0 ~size:st.Unix.st_size))
+  with Unix.Unix_error _ -> None
+
+(* [contents] cut just past its last newline: the non-blank lines before
+   the cut, the cut's offset, and the bytes after it (a line still being
+   written, or a torn one). *)
+let split contents =
+  let cut =
+    match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
+  in
+  ( List.filter
+      (fun l -> String.trim l <> "")
+      (String.split_on_char '\n' (String.sub contents 0 cut)),
+    cut,
+    String.sub contents cut (String.length contents - cut) )
+
 module Make (C : CODEC) = struct
   type t = {
     dir : string;
@@ -55,6 +114,9 @@ module Make (C : CODEC) = struct
     mutable merged : int; (* distinct records on disk after last open/flush *)
     mutable pending : (string * C.entry * string) list;
         (* (key, entry, line) of the records awaiting flush, newest first *)
+    mutable mark : mark option;
+        (* [None] until the handle read or wrote a header this build
+           speaks *)
   }
 
   let locked t f =
@@ -95,20 +157,6 @@ module Make (C : CODEC) = struct
 
   (* --- open / load --------------------------------------------------------- *)
 
-  let rec mkdir_p dir =
-    let parent = Filename.dirname dir in
-    if parent <> dir && not (Sys.file_exists parent) then mkdir_p parent;
-    if not (Sys.file_exists dir) then
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-  let read_lines file =
-    match In_channel.with_open_bin file In_channel.input_all with
-    | contents ->
-        List.filter
-          (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' contents)
-    | exception Sys_error _ -> []
-
   let bucket_of t key = Option.value ~default:[] (Hashtbl.find_opt t.table key)
 
   let in_bucket bucket e = List.exists (C.equal e) bucket
@@ -146,6 +194,9 @@ module Make (C : CODEC) = struct
   let count_entries t =
     Hashtbl.fold (fun _ b acc -> acc + List.length b) t.table 0
 
+  (* Lock-free: a line another process is still appending is loaded if it
+     already parses, and the mark stays before it either way, so the next
+     flush reads it whole. *)
   let open_dir dir =
     mkdir_p dir;
     let t =
@@ -157,17 +208,34 @@ module Make (C : CODEC) = struct
         skipped = 0;
         merged = 0;
         pending = [];
+        mark = None;
       }
     in
-    (match read_lines (path t) with
-    | [] -> ()
-    | header :: records -> (
-        match check_header header with
-        | Ok () -> load_records t records
-        | Error reason ->
-            Log.warn (fun f ->
-                f "cache %s: ignoring existing store (%s); it will be rewritten"
-                  (path t) reason)));
+    (match read_file (path t) with
+    | None -> ()
+    | Some (st, contents) -> (
+        let whole, cut, rest = split contents in
+        match whole @ if String.trim rest = "" then [] else [ rest ] with
+        | [] -> ()
+        | header :: records -> (
+            match check_header header with
+            | Ok () ->
+                load_records t records;
+                if whole <> [] then
+                  t.mark <-
+                    Some
+                      {
+                        dev = st.Unix.st_dev;
+                        ino = st.Unix.st_ino;
+                        header;
+                        pos = cut;
+                      }
+            | Error reason ->
+                Log.warn (fun f ->
+                    f
+                      "cache %s: ignoring existing store (%s); it will be \
+                       rewritten"
+                      (path t) reason))));
     t.merged <- count_entries t;
     Log.debug (fun f ->
         f "cache %s: %d entries loaded, %d lines skipped" (path t) t.loaded
@@ -209,83 +277,127 @@ module Make (C : CODEC) = struct
         Unix.lockf fd Unix.F_LOCK 0;
         Fun.protect ~finally:(fun () -> Unix.lockf fd Unix.F_ULOCK 0) f)
 
-  (* Persist pending records.  Under the locks, the record file is re-read
-     raw so entries appended by other invocations since [open_dir] survive;
-     our pending records land after them, minus records the codec
-     considers equal to ones already on disk (an exact-line comparison
-     would let two writers that solved the same unitary to different
-     metadata both land, and the duplicate would inflate every later
-     count).  Disk records that duplicate an earlier disk record are
-     compacted away on the same pass.  Equality is tested within a key
-     bucket only, as [record] and [load_records] test it: two equal
-     records on different keys (near-tied canonical forms whose
-     quantized fingerprints differ) are both kept, because a probe
-     computes either key and must find its record.  Each disk line is
-     parsed once; pending records are kept with their entries and keys.
-     The merged file replaces the old one atomically, and [merged] is the
-     number of records it holds. *)
+  (* Merge records read from the file, in file order, into the table
+     (under [t.lock]).  A record equal to a held entry of its key bucket
+     does not join the table; if that entry is pending, it is on disk now
+     and leaves the queue.  Equality is tested within a key bucket only,
+     as [record] and [load_records] test it: two equal records on
+     different keys (near-tied canonical forms whose quantized
+     fingerprints differ) are both kept, because a probe computes either
+     key and must find its record.  Returns how many distinct records
+     [records] adds to the file's count: read from the header, the first
+     of each class in the file; read past the mark, each one no record
+     already on disk equals. *)
+  let absorb t ~from_header records =
+    let in_file = Hashtbl.create 16 in
+    let is_pending e = List.exists (fun (_, p, _) -> p == e) t.pending in
+    List.fold_left
+      (fun added r ->
+        let key = C.key r in
+        let bucket = bucket_of t key in
+        let held = List.find_opt (C.equal r) bucket in
+        let repeat =
+          if from_header then begin
+            let seen =
+              Option.value ~default:[] (Hashtbl.find_opt in_file key)
+            in
+            Hashtbl.replace in_file key (r :: seen);
+            in_bucket seen r
+          end
+          else match held with Some e -> not (is_pending e) | None -> false
+        in
+        if repeat then added
+        else begin
+          (match held with
+          | None -> Hashtbl.replace t.table key (bucket @ [ r ])
+          | Some e ->
+              t.pending <- List.filter (fun (_, p, _) -> p != e) t.pending);
+          added + 1
+        end)
+      0 records
+
+  (* The flush proper, on [fd] opened for appending under both locks. *)
+  let append t fd =
+    let st = Unix.fstat fd in
+    let here header pos =
+      { dev = st.Unix.st_dev; ino = st.Unix.st_ino; header; pos }
+    in
+    let mark =
+      match t.mark with
+      | Some m
+        when m.dev = st.Unix.st_dev && m.ino = st.Unix.st_ino
+             && m.pos <= st.Unix.st_size
+             && read_from fd ~pos:0 ~size:(String.length m.header + 1)
+                = m.header ^ "\n" ->
+          Some m
+      | _ -> None
+    in
+    let start = match mark with Some m -> m.pos | None -> 0 in
+    let lines, cut, _ = split (read_from fd ~pos:start ~size:st.Unix.st_size) in
+    (* The header line and the record lines to read; [None] when the file
+       is missing, empty, or starts with no header this build speaks, and
+       is rewritten. *)
+    let read =
+      match (mark, lines) with
+      | Some m, _ -> Some (m.header, lines)
+      | None, h :: records when check_header h = Ok () -> Some (h, records)
+      | None, _ -> None
+    in
+    let keep = if read = None then 0 else start + cut in
+    if keep < st.Unix.st_size then Unix.ftruncate fd keep;
+    (* lines that do not parse stay on disk; loading skips them *)
+    let parsed =
+      match read with
+      | None -> []
+      | Some (_, lines) ->
+          List.filter_map (fun l -> Result.to_option (C.of_line l)) lines
+    in
+    let fresh =
+      locked t (fun () ->
+          let added = absorb t ~from_header:(mark = None) parsed in
+          t.merged <- (if mark = None then 0 else t.merged) + added;
+          List.rev t.pending)
+    in
+    t.mark <- Option.map (fun (header, _) -> here header keep) read;
+    let buf = Buffer.create 4096 in
+    if read = None then begin
+      Buffer.add_string buf header_line;
+      Buffer.add_char buf '\n'
+    end;
+    List.iter
+      (fun (_, _, l) ->
+        Buffer.add_string buf l;
+        Buffer.add_char buf '\n')
+      fresh;
+    let n = Buffer.length buf in
+    if n > 0 then ignore (Unix.write_substring fd (Buffer.contents buf) 0 n);
+    (* only what was written leaves the queue: a record queued by another
+       domain meanwhile waits for the next flush *)
+    locked t (fun () ->
+        t.pending <- List.filter (fun p -> not (List.memq p fresh)) t.pending;
+        t.merged <- t.merged + List.length fresh);
+    let header = match read with Some (h, _) -> h | None -> header_line in
+    t.mark <- Some (here header (keep + n));
+    Log.debug (fun f ->
+        f "cache %s: flushed %d new record%s (%d on disk)" (path t)
+          (List.length fresh)
+          (if List.length fresh = 1 then "" else "s")
+          t.merged)
+
   let flush t =
-    let pending = locked t (fun () -> List.rev t.pending) in
-    if pending <> [] then begin
+    if pending_count t > 0 then begin
       Mutex.lock flush_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock flush_lock)
         (fun () ->
           with_file_lock t (fun () ->
-              let disk =
-                match read_lines (path t) with
-                | [] -> []
-                | header :: records -> (
-                    match check_header header with
-                    | Ok () ->
-                        List.filter_map
-                          (fun line ->
-                            match C.of_line line with
-                            | Ok e -> Some (C.key e, e, line)
-                            | Error _ -> None)
-                          records
-                    | Error _ -> [])
+              let fd =
+                Unix.openfile (path t)
+                  [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ]
+                  0o666
               in
-              (* Keep the first of every equivalence class of a bucket:
-                 disk records in file order, then pending ones. *)
-              let seen : (string, C.entry list) Hashtbl.t = Hashtbl.create 64 in
-              let first (key, e, _) =
-                let bucket =
-                  Option.value ~default:[] (Hashtbl.find_opt seen key)
-                in
-                if List.exists (C.equal e) bucket then false
-                else begin
-                  Hashtbl.replace seen key (e :: bucket);
-                  true
-                end
-              in
-              let disk = List.filter first disk in
-              let fresh = List.filter first pending in
-              let tmp =
-                Filename.concat t.dir
-                  (Printf.sprintf ".%s.tmp.%d" C.records_file (Unix.getpid ()))
-              in
-              let oc = open_out_bin tmp in
-              (try
-                 output_string oc header_line;
-                 output_char oc '\n';
-                 List.iter
-                   (fun (_, _, l) ->
-                     output_string oc l;
-                     output_char oc '\n')
-                   (disk @ fresh);
-                 close_out oc
-               with e ->
-                 close_out_noerr oc;
-                 (try Sys.remove tmp with Sys_error _ -> ());
-                 raise e);
-              Unix.rename tmp (path t);
-              t.merged <- List.length disk + List.length fresh;
-              Log.debug (fun f ->
-                  f "cache %s: flushed %d new record%s (%d on disk)" (path t)
-                    (List.length fresh)
-                    (if List.length fresh = 1 then "" else "s")
-                    t.merged)));
-      locked t (fun () -> t.pending <- [])
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () -> append t fd)))
     end
 end

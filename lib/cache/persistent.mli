@@ -15,15 +15,27 @@
     - [lock] — advisory lock file ([Unix.lockf]) serializing flushes
       between concurrent processes.
 
-    Flushes re-read the record file under the in-process and on-disk
-    locks, merge pending records after whatever other writers appended
-    (dropping records the codec considers equal to an earlier record of
-    the same key bucket), write the merged file to a temp file in the
-    same directory and atomically [Unix.rename] it into place — readers
-    always see either the old or the new complete file.  Deduplication
-    is per key bucket everywhere — at load, at {!Make.record} and at
-    flush — so two equal records on different keys both survive: a
-    probe computes one of the keys and must find its record there.
+    Flushes append, so their cost grows with the records they add, not
+    with the store.  Every writer appends whole lines under the
+    in-process and on-disk locks.  A handle remembers the file's device,
+    inode, header line and the offset just past the last whole line it
+    has read or written, and a flush parses only the lines past that
+    offset: the records other writers appended since.  They join the
+    handle's table, a pending record one of them equals in its key
+    bucket is dropped, and the rest are appended in one write.  A file
+    replaced since (a different inode, shorter than the offset, or
+    starting with another header line) is read from its header; a
+    missing or empty file, or one whose header this build does not
+    speak, is rewritten as the header and the pending records.
+    Bytes after the last newline, found under the lock, are a torn write
+    and are cut off before appending.  Opening takes no lock: a line
+    another process is still appending is read whole by the next flush.
+    Deduplication is per key bucket everywhere — at load, at
+    {!Make.record} and at flush — so two equal records on different
+    keys both survive: a probe computes one of the keys and must find
+    its record there.  A flush never rewrites earlier lines: duplicates
+    an old file holds stay on disk (loading collapses them) and so do
+    unparsable lines (loading skips them).
 
     The pulse {!Store} and the synthesis {!Synth_store} are the two
     instances. *)
@@ -55,7 +67,8 @@ module type CODEC = sig
   val key : entry -> string
 
   (** Semantic equality of entries, used to deduplicate within a key
-      bucket, both in memory and at flush-merge time. *)
+      bucket, both in memory and against records other writers
+      appended. *)
   val equal : entry -> entry -> bool
 
   (** One JSON line per record; [of_line] must never raise. *)
@@ -86,11 +99,14 @@ module Make (C : CODEC) : sig
       nothing touches the disk until {!flush}. *)
   val record : t -> key:string -> C.entry -> unit
 
-  (** Persist pending records under the in-process and on-disk locks,
-      merging with concurrent writers' appends; a record semantically
-      equal to an earlier one in its key bucket (on disk, or pending
-      before it) is dropped rather than duplicated.  Each disk line is
-      parsed once.  No-op when nothing is pending. *)
+  (** Append pending records to the record file under the in-process
+      and on-disk locks.  The records other writers appended since this
+      handle last read or wrote the file are parsed first and join the
+      table; a pending record semantically equal to one of them in its
+      key bucket is dropped rather than duplicated.  Only the records
+      written leave the queue: one {!record}ed by another domain during
+      the write waits for the next flush, and a write that raises keeps
+      them all queued.  No-op when nothing is pending. *)
   val flush : t -> unit
 
   (** Number of records queued but not yet flushed. *)
@@ -106,7 +122,7 @@ module Make (C : CODEC) : sig
   (** Number of distinct records known to be on disk after the last
       {!flush} (or after {!open_dir}, before any flush).  This is the
       durable-store size — it never counts a record twice and unlike
-      {!loaded_count} it tracks flush merges, so it is the right value
-      for the [cache.entries] gauge. *)
+      {!loaded_count} it counts what flushes appended and read, so it is
+      the right value for the [cache.entries] gauge. *)
   val merged_count : t -> int
 end

@@ -37,7 +37,7 @@
 
    All of the JSONL mechanics — versioned header, quarantine on header
    mismatch, torn-trailing-record skip, lockf + mutex flush locking,
-   atomic merge-flush — live in the generic [Persistent.Make] functor;
+   append-only flush — live in the generic [Persistent.Make] functor;
    this module is the pulse codec plus the pulse-shaped queries (exact
    [find], Hilbert-Schmidt [nearest] for GRAPE warm starts,
    [absorb_library]). *)

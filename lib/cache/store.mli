@@ -36,9 +36,9 @@
     - [lock] — advisory lock file ([Unix.lockf]) serializing flushes
       between concurrent [epoc] processes.
 
-    Flushes merge pending records with whatever other writers appended
-    since the store was opened, write the merged file to a temp file in
-    the same directory and atomically [Unix.rename] it into place.
+    Flushes append this run's new records, after reading only what
+    other writers appended since this handle last read or wrote the
+    file, so a flush costs what it adds, not the store's size.
 
     The JSONL machinery itself lives in {!Persistent.Make}; this module
     is its pulse instance (the other is {!Synth_store}). *)
@@ -95,9 +95,10 @@ val record : t -> key:Digest.t -> Library.entry -> unit
     the stored keys. *)
 val absorb_library : t -> Library.t -> unit
 
-(** Persist pending records under the in-process and on-disk locks,
-    merging with concurrent writers' appends.  No-op when nothing is
-    pending. *)
+(** Append pending records under the in-process and on-disk locks,
+    minus those equal to records concurrent writers appended since this
+    handle last read or wrote the file ({!Persistent.Make.flush}).
+    No-op when nothing is pending. *)
 val flush : t -> unit
 
 (** Number of records queued but not yet flushed. *)

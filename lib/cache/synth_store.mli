@@ -21,7 +21,7 @@
 
     Second instance of {!Persistent.Make} (the first is the pulse
     {!Store}); same on-disk guarantees — versioned header, quarantine,
-    torn-write skip, locked atomic merge-flush. *)
+    torn-write skip, locked append-only flush. *)
 
 open Epoc_circuit
 open Epoc_synthesis
@@ -60,8 +60,9 @@ val record : t -> Circuit.t -> Synthesis.block_result -> unit
     source, zeroed search counters (no QSearch ran), no failure. *)
 val to_block_result : entry -> Synthesis.block_result
 
-(** Persist pending records under the in-process and on-disk locks,
-    merging with concurrent writers' appends. *)
+(** Append pending records under the in-process and on-disk locks,
+    minus those equal to records concurrent writers appended since this
+    handle last read or wrote the file ({!Persistent.Make.flush}). *)
 val flush : t -> unit
 
 (** Number of records queued but not yet flushed. *)

@@ -1,7 +1,7 @@
 (* Persistent pulse cache tests: on-disk round-trip, corruption and
-   header-mismatch tolerance, concurrent-writer flush merging, GRAPE
-   warm starts from cached near-neighbors, and the cached pipeline's
-   domain-count determinism. *)
+   header-mismatch tolerance, append-only flushes under concurrent
+   writers, GRAPE warm starts from cached near-neighbors, and the cached
+   pipeline's domain-count determinism. *)
 
 open Epoc
 open Epoc_linalg
@@ -603,6 +603,243 @@ let test_near_tied_records_survive_flush () =
     (Store.loaded_count (Store.open_dir dir));
   rm_rf dir
 
+(* --- append-only flush ---------------------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let record_lines contents =
+  List.length
+    (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents))
+  - 1
+
+let inode path = (Unix.stat path).Unix.st_ino
+
+(* A flush appends its new records to the file it found: the inode and
+   every byte before them stay, and exactly one line per new record
+   follows, from the recording handle and from a handle opened later. *)
+let test_flush_appends () =
+  let dir = tmp_dir "append" in
+  let path = records_path dir in
+  let s = Store.open_dir dir in
+  store_record s (Gate.matrix Gate.X) ~duration:10.0 ~fidelity:0.999 ();
+  store_record s (Gate.matrix Gate.H) ~duration:11.0 ~fidelity:0.998 ();
+  Store.flush s;
+  let appends label s gates =
+    let before = read_file path and ino = inode path in
+    List.iteri
+      (fun i g ->
+        store_record s (Gate.matrix g) ~duration:(20.0 +. float_of_int i)
+          ~fidelity:0.99 ())
+      gates;
+    Store.flush s;
+    let after = read_file path in
+    Alcotest.(check int) (label ^ ": same inode") ino (inode path);
+    Alcotest.(check string) (label ^ ": earlier bytes kept") before
+      (String.sub after 0 (min (String.length before) (String.length after)));
+    Alcotest.(check int) (label ^ ": one line per new record")
+      (List.length gates)
+      (record_lines after - record_lines before)
+  in
+  appends "recording handle" s [ Gate.Y; Gate.Z ];
+  appends "reopened handle" (Store.open_dir dir) [ Gate.S; Gate.T ];
+  let s2 = Store.open_dir dir in
+  Alcotest.(check int) "every record reloads" 6 (Store.loaded_count s2);
+  Alcotest.(check int) "nothing skipped" 0 (Store.skipped_count s2);
+  rm_rf dir
+
+(* A file replaced under an open handle (a valid store renamed into
+   place, as builds that merged by rewriting did) is read from its header
+   at the handle's next flush: its records survive and join the handle,
+   and neither a record the handle flushed before nor a pending one the
+   new file already holds is written again. *)
+let test_replaced_file () =
+  let dir = tmp_dir "replaced" and other = tmp_dir "replacement" in
+  let x = Gate.matrix Gate.X and h = Gate.matrix Gate.H in
+  let y = Gate.matrix Gate.Y and z = Gate.matrix Gate.Z in
+  let s = Store.open_dir dir in
+  store_record s x ~duration:10.0 ~fidelity:0.999 ();
+  Store.flush s;
+  store_record s z ~duration:13.0 ~fidelity:0.996 ();
+  let r = Store.open_dir other in
+  store_record r x ~duration:20.0 ~fidelity:0.99 ();
+  store_record r h ~duration:21.0 ~fidelity:0.99 ();
+  store_record r z ~duration:23.0 ~fidelity:0.99 ();
+  Store.flush r;
+  let ino = inode (records_path dir) in
+  Unix.rename (records_path other) (records_path dir);
+  Alcotest.(check bool) "file replaced" true (inode (records_path dir) <> ino);
+  store_record s y ~duration:12.0 ~fidelity:0.997 ();
+  Store.flush s;
+  Alcotest.(check int) "handle counts the replacing records" 4
+    (Store.merged_count s);
+  Alcotest.(check bool) "replacing record joins the handle" true
+    (store_find s h <> None);
+  Alcotest.(check int) "no record written twice" 4
+    (record_lines (read_file (records_path dir)));
+  let s2 = Store.open_dir dir in
+  Alcotest.(check int) "every record reloads" 4 (Store.loaded_count s2);
+  let duration u =
+    Option.map (fun e -> e.Library.duration) (store_find s2 u)
+  in
+  Alcotest.(check (option (float 0.0))) "replacing x survives" (Some 20.0)
+    (duration x);
+  Alcotest.(check (option (float 0.0))) "replacing z survives" (Some 23.0)
+    (duration z);
+  Alcotest.(check (option (float 0.0))) "new y appended" (Some 12.0)
+    (duration y);
+  rm_rf dir;
+  rm_rf other
+
+(* A file rewritten in place (same inode) under another schema's header,
+   and grown past what an open handle had read, is read from its header
+   at that handle's next flush: the foreign records are quarantined, not
+   appended to. *)
+let test_rewritten_in_place () =
+  let dir = tmp_dir "in-place" in
+  let s = Store.open_dir dir in
+  store_record s (Gate.matrix Gate.X) ~duration:10.0 ~fidelity:0.999 ();
+  Store.flush s;
+  let ino = inode (records_path dir) in
+  let oc = open_out (records_path dir) in
+  output_string oc
+    "{\"format\": \"epoc-pulse-cache\",\"schema_version\": 99}\n";
+  for i = 1 to 20 do
+    Printf.fprintf oc "{\"key\": \"future-%d\", \"shape\": \"unknown\"}\n" i
+  done;
+  close_out oc;
+  Alcotest.(check int) "same inode" ino (inode (records_path dir));
+  store_record s (Gate.matrix Gate.Y) ~duration:12.0 ~fidelity:0.997 ();
+  Store.flush s;
+  let s2 = Store.open_dir dir in
+  Alcotest.(check int) "file rewritten under this build's header" 1
+    (Store.loaded_count s2);
+  Alcotest.(check int) "no foreign line kept" 0 (Store.skipped_count s2);
+  Alcotest.(check bool) "pending record landed" true
+    (store_find s2 (Gate.matrix Gate.Y) <> None);
+  rm_rf dir
+
+(* [record] racing [flush] on one handle.  A record queued while another
+   domain's flush writes must wait for the next flush, not be dropped
+   with the written ones.  First two domains share a handle, each
+   recording distinct entries and flushing after every one; then one
+   domain records while another flushes in a loop. *)
+let test_record_races_flush () =
+  let rx base i = Gate.matrix (Gate.RX (base +. (0.01 *. float_of_int i))) in
+  let check_all label dir s n =
+    Store.flush s;
+    Alcotest.(check int) (label ^ ": nothing left pending") 0
+      (Store.pending_count s);
+    Alcotest.(check int) (label ^ ": every record flushed") n
+      (Store.merged_count s);
+    Alcotest.(check int) (label ^ ": every record reloads") n
+      (Store.loaded_count (Store.open_dir dir));
+    rm_rf dir
+  in
+  let dir = tmp_dir "race" in
+  let s = Store.open_dir dir in
+  let writer base =
+    Domain.spawn (fun () ->
+        for i = 0 to 299 do
+          store_record s (rx base i) ~duration:10.0 ~fidelity:0.999 ();
+          Store.flush s
+        done)
+  in
+  let a = writer 0.0 and b = writer 3.0 in
+  Domain.join a;
+  Domain.join b;
+  check_all "flush after each record" dir s 600;
+  let dir = tmp_dir "race-loop" in
+  let s = Store.open_dir dir in
+  let recording = Atomic.make true and flushing = Atomic.make false in
+  let flusher =
+    Domain.spawn (fun () ->
+        while Atomic.get recording do
+          Store.flush s;
+          Atomic.set flushing true
+        done)
+  in
+  while not (Atomic.get flushing) do
+    Domain.cpu_relax ()
+  done;
+  for i = 0 to 599 do
+    store_record s (rx 0.0 i) ~duration:10.0 ~fidelity:0.999 ()
+  done;
+  Atomic.set recording false;
+  Domain.join flusher;
+  check_all "flushing in a loop" dir s 600
+
+(* Random interleavings of [record], [flush] and reopening on 2-3
+   handles of one directory, with entries equal under one key (one
+   unitary, other metadata) recorded by several handles.  After every
+   flush, a fresh handle loads exactly the distinct records flushed so
+   far, and a flush that had records to write leaves that count as its
+   handle's [merged_count]. *)
+type op = Record of int * int * int | Flush of int | Reopen of int
+
+let show_op = function
+  | Record (h, u, d) -> Printf.sprintf "record h%d u%d d%d" h u d
+  | Flush h -> Printf.sprintf "flush h%d" h
+  | Reopen h -> Printf.sprintf "reopen h%d" h
+
+let arb_interleaving =
+  let open QCheck.Gen in
+  let interleaving handles =
+    let h = int_bound (handles - 1) in
+    map
+      (fun ops -> (handles, ops))
+      (list_size (int_range 1 30)
+         (frequency
+            [
+              (5, map3 (fun h u d -> Record (h, u, d)) h (int_bound 4) (int_bound 2));
+              (3, map (fun h -> Flush h) h);
+              (1, map (fun h -> Reopen h) h);
+            ]))
+  in
+  QCheck.make
+    ~print:(fun (handles, ops) ->
+      Printf.sprintf "%d handles: %s" handles
+        (String.concat "; " (List.map show_op ops)))
+    (int_range 2 3 >>= interleaving)
+
+let prop_interleaved_flushes =
+  let case = ref 0 in
+  QCheck.Test.make ~name:"interleaved flushes count every record once"
+    ~count:60 arb_interleaving (fun (handles, ops) ->
+      incr case;
+      let dir = tmp_dir (Printf.sprintf "interleave-%d" !case) in
+      let s = Array.init handles (fun _ -> Store.open_dir dir) in
+      (* unitaries flushed by some handle, and recorded by each handle
+         since its last flush or open *)
+      let on_disk = ref [] and recorded = Array.make handles [] in
+      let union a b = List.sort_uniq compare (a @ b) in
+      let ok =
+        List.for_all
+          (function
+            | Record (h, u, d) ->
+                store_record s.(h)
+                  (Gate.matrix (Gate.RX (0.5 +. (0.7 *. float_of_int u))))
+                  ~duration:(10.0 +. float_of_int d) ~fidelity:0.999 ();
+                recorded.(h) <- union recorded.(h) [ u ];
+                true
+            | Reopen h ->
+                s.(h) <- Store.open_dir dir;
+                recorded.(h) <- [];
+                true
+            | Flush h ->
+                let wrote = Store.pending_count s.(h) > 0 in
+                Store.flush s.(h);
+                on_disk := union !on_disk recorded.(h);
+                recorded.(h) <- [];
+                let fresh = Store.open_dir dir in
+                let n = List.length !on_disk in
+                Store.loaded_count fresh = n
+                && Store.skipped_count fresh = 0
+                && ((not wrote) || Store.merged_count s.(h) = n))
+          ops
+      in
+      rm_rf dir;
+      ok)
+
 (* --- synthesis store --------------------------------------------------------- *)
 
 module Synth_store = Epoc_cache.Synth_store
@@ -874,6 +1111,14 @@ let () =
           Alcotest.test_case "recalibrated device" `Quick
             test_recalibrated_device;
           Alcotest.test_case "QoC-mode scoping" `Quick test_mode_scoping;
+          Alcotest.test_case "flush appends" `Quick test_flush_appends;
+          Alcotest.test_case "replaced file read from its header" `Quick
+            test_replaced_file;
+          Alcotest.test_case "file rewritten in place" `Quick
+            test_rewritten_in_place;
+          Alcotest.test_case "record racing flush" `Quick
+            test_record_races_flush;
+          QCheck_alcotest.to_alcotest prop_interleaved_flushes;
         ] );
       ( "synth-store",
         [

@@ -6,9 +6,9 @@ Modes:
                                   distinct priorities plus a metrics
                                   scrape, per-job status codes mirroring
                                   the CLI 0/3/1 exit contract, then a
-                                  warm resubmission that must hit the
-                                  persistent cache and compile faster
-                                  than the cold run; finally a
+                                  warm resubmission that the persistent
+                                  store must answer whole (hits, no
+                                  misses, no GRAPE work); finally a
                                   Prometheus scrape whose request
                                   counters must match the jobs
                                   submitted, and a flight-recorder
@@ -140,19 +140,24 @@ def smoke(path, traces_dir=None):
           metrics["engine"]["counters"].get("pool.sequential_maps", 0) >= 0,
           "engine registry carries pool traffic counters")
 
-    cold_s = bb84["compile_s"]
     cold_hits = bb84["metrics"]["counters"].get("cache.hits", 0)
     check(cold_hits == 0, "cold job resolved nothing from the store")
 
-    # identical resubmission: the engine store must serve the pulses
-    # (cache.hits > 0) and the warm compile must be faster than cold
+    # identical resubmission: the engine store must serve every pulse
+    # (hits, no misses), so no GRAPE solve runs.  Wall times are not
+    # compared: the cold job takes milliseconds, and scheduling noise
+    # decided that comparison.
     warm = rpc(f, [{"circuit": "bench:bb84", "mode": "grape"}])
     (warm_r,) = warm.values()
     check(warm_r["status"] == "ok", "warm resubmission ok")
     warm_hits = warm_r["metrics"]["counters"].get("cache.hits", 0)
     check(warm_hits > 0, f"warm job hit the engine store ({warm_hits} hits)")
-    check(warm_r["compile_s"] < cold_s,
-          f"warm {warm_r['compile_s']:.3f}s < cold {cold_s:.3f}s")
+    check(warm_r["cache_misses"] == 0,
+          f"warm job missed nothing ({warm_r['cache_misses']} misses)")
+    grape_keys = [k for kind in ("counters", "histograms")
+                  for k in warm_r["metrics"].get(kind, {})
+                  if k.startswith("grape.")]
+    check(not grape_keys, f"warm job ran no GRAPE (grape.* keys: {grape_keys})")
     check(warm_r["schedule"] == bb84["schedule"],
           "warm schedule identical to cold")
 
