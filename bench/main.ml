@@ -379,10 +379,9 @@ let json_file = "BENCH_pipeline.json"
    degraded_blocks/retries (the resilience counters); v3 adds the
    synth_cache_sweep section (cold/warm synthesis-cache runs); v4 adds
    the device_sweep section (per-device latency/ESP over the bundled
-   zoo) and per-benchmark ir_roundtrip flags.  The synth_micro
-   (instantiation throughput) and grape2q_micro (2-qubit GRAPE
-   throughput) sections are optional within v4: readers skip their
-   checks when a file lacks them. *)
+   zoo) and per-benchmark ir_roundtrip flags.  bench_compare reads v4
+   only and refuses a file missing any section it checks, the
+   synth_micro and grape2q_micro lanes included. *)
 let bench_schema_version = 4
 
 (* --- pulse-IR round trip ---------------------------------------------------- *)

@@ -9,9 +9,10 @@
    key is the one the [pulses] pass computed for the pulse job
    ([Ir.pulse_job.jkey] = [Library.key ~context cu]), and no store call
    canonicalizes or fingerprints: [find] takes that key and the session
-   library's matcher, [nearest] the job's canonical form, and [record] /
-   [absorb_library] the bucket key the entry already sits under, so a
-   hit enters the library as the stored entry itself.
+   library's matcher, [nearest] the job's canonical form, and [record]
+   the key and library entry of a pulse the run solved
+   ([Ir.fresh_pulses]), so a hit enters the library as the stored entry
+   itself.
 
    Every record carries the reuse context of its entry: the
    [Hardware.context] of the model its pulse was solved on, prefixed
@@ -39,8 +40,7 @@
    mismatch, torn-trailing-record skip, lockf + mutex flush locking,
    append-only flush — live in the generic [Persistent.Make] functor;
    this module is the pulse codec plus the pulse-shaped queries (exact
-   [find], Hilbert-Schmidt [nearest] for GRAPE warm starts,
-   [absorb_library]). *)
+   [find], Hilbert-Schmidt [nearest] for GRAPE warm starts). *)
 
 open Epoc_linalg
 open Epoc_pulse
@@ -184,11 +184,5 @@ let nearest ?(context = "") ?(max_distance = 0.15) t (cu : Mat.t) =
 (* --- recording / flush ----------------------------------------------------- *)
 
 let record = P.record
-
-(* Queue every library entry the store does not already hold, under its
-   library bucket key: the key its probe computed, so the warm run's
-   probes compute exactly the stored keys. *)
-let absorb_library t (lib : Library.t) =
-  Library.fold_entries lib ~init:() (fun key e () -> record t ~key e)
 
 let flush = P.flush

@@ -4,7 +4,8 @@
     library's own bucket keys ({!Epoc_pulse.Library.key} of the
     canonical unitary under its reuse context), so a second [epoc]
     invocation reuses the first one's GRAPE results (exact hits) or
-    starts GRAPE from a similar cached pulse (near hits).  Callers hand
+    starts GRAPE from a similar cached pulse (near hits).  It records
+    what each run solved, not entries the run found elsewhere.  Callers hand
     over the key they already computed for a pulse job; no store call
     canonicalizes or fingerprints, and a hit is the stored entry itself,
     ready for {!Epoc_pulse.Library.add}.  Every record carries the reuse
@@ -85,15 +86,9 @@ val nearest :
 (** [record t ~key e] queues [e] for persistence under its library
     bucket key [key = Library.key ~context:e.context e.unitary] (no-op
     if an entry equal up to global phase is already held in that
-    bucket).  Thread-safe; nothing touches the disk until {!flush}. *)
+    bucket).  The pipeline records each pulse a run solved at pipeline
+    end.  Thread-safe; nothing touches the disk until {!flush}. *)
 val record : t -> key:Digest.t -> Library.entry -> unit
-
-(** Queue every library entry the store does not already hold, under
-    the bucket key the library holds it under.  Called at pipeline end,
-    after candidate forks were absorbed, so one {!flush} persists the
-    whole run's new pulses, and the warm run's probes compute exactly
-    the stored keys. *)
-val absorb_library : t -> Library.t -> unit
 
 (** Append pending records under the in-process and on-disk locks,
     minus those equal to records concurrent writers appended since this

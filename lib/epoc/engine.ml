@@ -88,13 +88,28 @@ let hardware_for_block t (config : Config.t) qubits =
   Hardware.Memo.get t.hardware ?device:config.Config.device ~dt:config.Config.dt
     ~t_coherence:config.Config.t_coherence qubits
 
+module Cache_log = (val Logs.src_log Store.log_src : Logs.LOG)
+
 (* Flush both persistent stores once (no-op without stores, or with
-   nothing pending).  Sessions flush after each run; the serve daemon
+   nothing pending).  Every compile flushes at its end; the serve daemon
    also calls this on shutdown so a drained process leaves nothing
-   unpersisted. *)
+   unpersisted.  A failed write costs its records' persistence, not the
+   compile or the daemon; its count depends on the file system, not on
+   the run, so it goes to the engine registry. *)
 let flush t =
-  Option.iter Store.flush t.cache;
-  Option.iter Synth_store.flush t.synth
+  let guarded what flush store =
+    let failed reason =
+      Metrics.incr t.metrics "cache.flush_errors";
+      Cache_log.warn (fun m ->
+          m "%s flush failed, its records stay queued: %s" what reason)
+    in
+    try flush store with
+    | Unix.Unix_error (err, fn, arg) ->
+        failed (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err))
+    | Sys_error reason -> failed reason
+  in
+  Option.iter (guarded "pulse store" Store.flush) t.cache;
+  Option.iter (guarded "synthesis store" Synth_store.flush) t.synth
 
 (* --- sessions ------------------------------------------------------------ *)
 

@@ -69,7 +69,9 @@ val next_request_id : t -> string
 val hardware_for_block : t -> Config.t -> int list -> Hardware.t
 
 (** Flush both persistent stores once (no-op without stores or with
-    nothing pending). *)
+    nothing pending).  A store whose flush raises [Unix_error] or
+    [Sys_error] is named in a warning on ["epoc.cache"], counted in
+    [cache.flush_errors] on {!metrics} and keeps its records queued. *)
 val flush : t -> unit
 
 (** {1 Sessions} *)

@@ -130,3 +130,23 @@ let schedule_exn ir =
 let synthesized_blocks ir =
   List.length
     (List.filter (fun (_, r) -> r.Synthesis.source = Synthesis.Synthesized) ir.synth)
+
+(* One constructor for the library entry and the store record. *)
+let solved_entry (j : pulse_job) (r : job_result) =
+  {
+    Library.unitary = j.jcanon;
+    duration = r.jr_duration;
+    fidelity = r.jr_fidelity;
+    pulse = r.jr_pulse;
+    context = j.jcontext;
+  }
+
+(* Only representatives carry [computed]. *)
+let fresh_pulses ir =
+  List.concat_map
+    (List.filter_map (fun (_, job) ->
+         match job with
+         | Some ({ computed = Some r; _ } as j) when not r.jr_fallback ->
+             Some (j.jkey, solved_entry j r)
+         | _ -> None))
+    ir.groupings

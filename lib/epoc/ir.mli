@@ -113,3 +113,12 @@ val schedule_exn : t -> Schedule.t
 
 (** Blocks where the search beat the direct VUG form. *)
 val synthesized_blocks : t -> int
+
+(** The entry of a representative's clean result, which phase 3 of
+    [Stages.resolve_pulses] adds to the library under [jkey]. *)
+val solved_entry : pulse_job -> job_result -> Library.entry
+
+(** What this candidate solved, for the pulse store: [(jkey,
+    solved_entry)] of each representative that did not degrade, in job
+    order.  Library and store hits and aliases solved nothing. *)
+val fresh_pulses : t -> (Digest.t * Library.entry) list

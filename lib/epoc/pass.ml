@@ -61,13 +61,11 @@ let of_session (s : Engine.session) =
     fault = Engine.session_fault s;
   }
 
-(* A ctx with private trace and metrics shards, for candidate fan-out:
-   the caller absorbs both after the parallel region, in candidate
-   order. *)
+(* A ctx with a private library, trace and metrics, for candidate
+   compilation: the caller absorbs all three after the fan-out. *)
 let fork_ctx ctx =
-  let trace = Trace.fork ctx.trace in
-  let metrics = Metrics.fork ctx.metrics in
-  ({ ctx with trace; metrics }, trace, metrics)
+  let library = Library.fork ctx.library and trace = Trace.fork ctx.trace in
+  { ctx with library; trace; metrics = Metrics.fork ctx.metrics }
 
 module type PASS = sig
   val name : string

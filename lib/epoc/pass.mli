@@ -15,8 +15,7 @@ module Metrics = Epoc_obs.Metrics
     values (config, library handle, trace, per-run metrics, budget,
     fault spec) next to views of the owning engine's shared state
     (pool, persistent store, hardware memo, engine registry).  Concrete
-    because the driver builds per-candidate variants with functional
-    update ({!fork_ctx} plus a forked library). *)
+    because the driver builds per-candidate variants ({!fork_ctx}). *)
 type ctx = {
   config : Config.t;
   request_id : string;
@@ -54,10 +53,10 @@ type ctx = {
     from its engine. *)
 val of_session : Engine.session -> ctx
 
-(** A ctx with private trace and metrics shards, for candidate fan-out:
-    the caller absorbs both after the parallel region, in candidate
-    order. *)
-val fork_ctx : ctx -> ctx * Epoc_obs.Trace.t * Metrics.t
+(** The ctx every candidate compiles on, one or several: private forks
+    of the library, trace and metrics, which the driver absorbs after
+    the fan-out (libraries winner first, then in candidate order). *)
+val fork_ctx : ctx -> ctx
 
 module type PASS = sig
   val name : string

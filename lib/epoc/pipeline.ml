@@ -18,7 +18,9 @@
    representations.  Every parallel region is either pure (fixed RNG
    seeds, no shared mutable state) or works on a forked library that is
    absorbed in a fixed order, and all fan-outs preserve item order, so
-   results are bit-identical for any domain count.
+   results are bit-identical for any domain count.  The stores are
+   written once, after the fan-out, from what the candidates' IRs say
+   they solved.
 
    Tracing: every pass runs inside a [Trace] span with stage counters;
    candidate compilation traces into per-candidate child sinks absorbed
@@ -130,9 +132,10 @@ let compile_candidate (ctx : Pass.ctx) passes ir0 ((optimized : Circuit.t), zx_u
   Pass.run_list ctx passes ir
 
 (* Compile [circuit] through a flow, in [session]: graph stage,
-   candidate fan-out — each candidate against a fork of the library and
-   a private trace sink, merged back in candidate order, the winner's
-   library fork first — and best-schedule selection.
+   candidate fan-out — every candidate on its own [Pass.fork_ctx], one
+   candidate or several — winner selection, absorption of the forks
+   (libraries winner first, then in candidate order; traces and metrics
+   in candidate order) and one persist step.
 
    This is the driver every entry point lands on.  Shared state (pool,
    persistent stores, hardware memo, engine registry) is read through
@@ -144,8 +147,6 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
   let name = Engine.session_name session in
   let ctx = Pass.of_session session in
   let library = ctx.Pass.library in
-  let cache = ctx.Pass.cache in
-  let synth_store = ctx.Pass.synth in
   let trace = ctx.Pass.trace in
   let metrics = ctx.Pass.metrics in
   let candidates =
@@ -153,68 +154,40 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
   in
   let passes = flow.passes config in
   let ir0 = Ir.of_circuit ~name circuit in
-  let compiled =
+  let published =
     Trace.span_with trace "candidates" (fun () ->
+        let forks = List.map (fun _ -> Pass.fork_ctx ctx) candidates in
         let irs =
-          match candidates with
-          | [ candidate ] ->
-              (* single candidate: compile against the shared library *)
-              let cctx, ctrace, cmetrics = Pass.fork_ctx ctx in
-              let ir = compile_candidate cctx passes ir0 candidate in
-              Trace.absorb trace ~prefix:"cand0/" ctrace;
-              Metrics.absorb metrics cmetrics;
-              [ ir ]
-          | _ ->
-              (* fork the library, trace and metrics per candidate so
-                 candidate compilation is free of cross-candidate
-                 ordering; absorb all three after *)
-              let forked =
-                List.map
-                  (fun cand ->
-                    (cand, Library.fork library, Trace.fork trace,
-                     Metrics.fork metrics))
-                  candidates
-              in
-              let irs =
-                Pool.map ctx.Pass.pool
-                  (fun (cand, flib, ctrace, cmetrics) ->
-                    let cctx =
-                      { ctx with Pass.library = flib; trace = ctrace;
-                        metrics = cmetrics }
-                    in
-                    compile_candidate cctx passes ir0 cand)
-                  forked
-              in
-              (* the winner's library first, then the others in candidate
-                 order: [Library.absorb] keeps the first of two entries
-                 whose unitaries match within epsilon, so a warm compile
-                 is answered with the durations the winning schedule used.
-                 A winner's alias that matches a loser's entry but not its
-                 own representative could still take the loser's value. *)
-              let _, winner =
-                Stages.best_by_latency
-                  (List.mapi (fun i ir -> (Ir.schedule_exn ir, i)) irs)
-              in
-              let _, winner_lib, _, _ = List.nth forked winner in
-              Library.absorb library winner_lib;
-              List.iteri
-                (fun i (_, flib, ctrace, cmetrics) ->
-                  if i <> winner then Library.absorb library flib;
-                  Trace.absorb trace ~prefix:(Fmt.str "cand%d/" i) ctrace;
-                  Metrics.absorb metrics cmetrics)
-                forked;
-              irs
+          Pool.map ctx.Pass.pool
+            (fun (cctx, cand) -> compile_candidate cctx passes ir0 cand)
+            (List.combine forks candidates)
         in
-        (irs, [ ("candidates", List.length irs) ]))
-  in
-  let schedule, stats =
-    Trace.span trace "select" (fun () ->
-        let schedule, best =
+        let _, winner =
           Stages.best_by_latency
-            (List.map (fun ir -> (Ir.schedule_exn ir, ir)) compiled)
+            (List.mapi (fun i ir -> (Ir.schedule_exn ir, i)) irs)
         in
-        (schedule, stats_of_ir best))
+        let winner_first l =
+          List.nth l winner :: List.filteri (fun i _ -> i <> winner) l
+        in
+        (* the winner's library first, then the others in candidate
+           order: [Library.absorb] keeps the first of two entries whose
+           unitaries match within epsilon, so a warm compile is answered
+           with the durations the winning schedule used.  A winner's
+           alias that matches a loser's entry but not its own
+           representative could still take the loser's value. *)
+        List.iter
+          (fun (c : Pass.ctx) -> Library.absorb library c.Pass.library)
+          (winner_first forks);
+        List.iteri
+          (fun i (c : Pass.ctx) ->
+            Trace.absorb trace ~prefix:(Fmt.str "cand%d/" i) c.Pass.trace;
+            Metrics.absorb metrics c.Pass.metrics)
+          forks;
+        (winner_first irs, [ ("candidates", List.length irs) ]))
   in
+  let best = List.hd published in
+  let schedule = Ir.schedule_exn best in
+  let stats = Trace.span trace "select" (fun () -> stats_of_ir best) in
   let esp =
     Trace.span trace "esp" (fun () ->
         Esp.of_schedule ~t_coherence:config.Config.t_coherence schedule)
@@ -234,35 +207,29 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
     Stages.Log.warn (fun m ->
         m "%s: %d block(s) degraded to gate-pulse playback" name
           stats.degraded_blocks);
-  (* persist the run's new pulses: sweep the merged library into the
-     store and flush once, after all candidates were absorbed.  Entries
-     carry their hardware context, so device pulses persist too without
-     ever answering a probe on another model.  The gauge reports the
-     merged on-disk entry count, which stays honest after a torn-write
-     recovery (skipped lines are not entries). *)
-  Option.iter
-    (fun store ->
-      Store.absorb_library store library;
-      Store.flush store;
-      Metrics.set metrics "cache.entries"
-        (float_of_int (Store.merged_count store)))
-    cache;
-  (* persist the run's fresh syntheses: candidates only probed the store
-     during compilation and carried their fresh results on the IR, so
-     recording here — in candidate order, then block order — keeps the
-     store writes outside every parallel region *)
-  Option.iter
-    (fun store ->
-      List.iter
-        (fun ir ->
-          List.iter
-            (fun (block, r) -> Synth_store.record store block r)
-            ir.Ir.synth_fresh)
-        compiled;
-      Synth_store.flush store;
-      Metrics.set metrics "synth.cache.entries"
-        (float_of_int (Synth_store.merged_count store)))
-    synth_store;
+  (* persist what the run solved, winner first: candidates only probed
+     the stores and carried their fresh pulses and syntheses on the IR,
+     so store writes stay outside every parallel region.  One flush
+     through the engine, which keeps a failed write's records queued;
+     the gauges report the merged on-disk counts, which stay honest
+     after a torn-write recovery (skipped lines are not entries). *)
+  List.iter
+    (fun ir ->
+      Option.iter
+        (fun s ->
+          List.iter (fun (key, e) -> Store.record s ~key e) (Ir.fresh_pulses ir))
+        ctx.Pass.cache;
+      Option.iter
+        (fun s ->
+          List.iter (fun (b, r) -> Synth_store.record s b r) ir.Ir.synth_fresh)
+        ctx.Pass.synth)
+    published;
+  Engine.flush (Engine.session_engine session);
+  let gauge name count =
+    Option.iter (fun s -> Metrics.set metrics name (float_of_int (count s)))
+  in
+  gauge "cache.entries" Store.merged_count ctx.Pass.cache;
+  gauge "synth.cache.entries" Synth_store.merged_count ctx.Pass.synth;
   {
     name;
     request_id = Engine.session_request_id session;

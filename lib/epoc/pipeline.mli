@@ -59,18 +59,17 @@ type flow = {
 }
 
 (** Compile a circuit through a flow, in a session: graph stage,
-    candidate fan-out — each candidate against a fork of the library and
-    private trace/metrics sinks, merged back in candidate order, except
-    that the winning candidate's library fork is merged first — and
-    best-schedule selection.  This is the driver every entry point lands
-    on; {!Engine.session} is the single carrier of shared and per-run
-    state (config, pool, stores, library, trace, metrics, budget).
+    candidate fan-out — every candidate on its own {!Pass.fork_ctx},
+    merged back in candidate order, except that the winning candidate's
+    library fork is merged first — and best-schedule selection.  This
+    is the driver every entry point lands on; {!Engine.session} is the
+    single carrier of shared and per-run state (config, pool, stores,
+    library, trace, metrics, budget).
 
-    When a pulse store is attached the run's new pulses are flushed to
-    disk before returning; when a synthesis store is attached the run's
-    fresh per-block syntheses (carried on the IR — candidate compilation
-    never writes shared state) are recorded and flushed the same way,
-    and warm reruns replay them instead of searching. *)
+    The pulses and syntheses each candidate solved ride its IR
+    ({!Ir.fresh_pulses}, [Ir.synth_fresh]); one persist step records
+    them, winner first, and flushes through {!Engine.flush}, so a store
+    that cannot be written does not fail the compile. *)
 val compile_flow : Engine.session -> flow -> Circuit.t -> result
 
 (** Compile a circuit through the full EPOC flow ({!compile_flow} over

@@ -342,10 +342,11 @@ let list_schedule (items : (Schedule.instruction * Circuit.op list) list) =
 
    Degraded representatives (gate-pulse fallback) never enter the
    library: the fallback values are block-local prices, not reusable
-   pulses, and keeping them out also keeps them out of the persistent
-   store (Store.absorb_library walks the library) so a later run
-   re-attempts the solve.  Aliases of a degraded representative inherit
-   its resolved values — and its degraded flag — directly.
+   pulses.  The driver persists what [Ir.fresh_pulses] lists — the
+   clean representatives, with the entry phase 3 adds — so degraded
+   ones stay out of the persistent store too and a later run re-attempts
+   the solve.  Aliases of a degraded representative inherit its
+   resolved values — and its degraded flag — directly.
 
    Returns (jobs, representatives) counts for the stage report. *)
 let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
@@ -525,14 +526,7 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
             j.Ir.jretries <- r.Ir.jr_retries;
             if r.Ir.jr_fallback then j.Ir.jfallback <- true
             else begin
-              Library.add library ~key:j.Ir.jkey
-                {
-                  Library.unitary = j.Ir.jcanon;
-                  duration = r.Ir.jr_duration;
-                  fidelity = r.Ir.jr_fidelity;
-                  pulse = r.Ir.jr_pulse;
-                  context = j.Ir.jcontext;
-                };
+              Library.add library ~key:j.Ir.jkey (Ir.solved_entry j r);
               j.Ir.jpulse <- r.Ir.jr_pulse
             end;
             j.Ir.resolved <- Some (r.Ir.jr_duration, r.Ir.jr_fidelity))

@@ -199,13 +199,3 @@ let counters (s : stats) =
     ("misses", s.misses);
     ("entries", s.entries);
   ]
-
-(* Fold over every stored entry with its bucket key, in unspecified
-   order.  Used by the persistent store to sweep a finished run's
-   library onto disk under the keys the probes computed. *)
-let fold_entries lib ~init f =
-  locked lib (fun () ->
-      Hashtbl.fold
-        (fun key bucket acc ->
-          List.fold_left (fun acc e -> f key e acc) acc bucket)
-        lib.table init)

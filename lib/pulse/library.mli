@@ -11,8 +11,8 @@
     {!key} and hands both to {!find} and {!add}, which never fingerprint
     (the pipeline does this once per pulse job).  The persistent store
     ([Epoc_cache.Store]) holds these same entries under these same keys,
-    so a store hit enters the library as the stored entry and a library
-    entry is recorded under its bucket key, with no second keying.
+    so a store hit enters the library as the stored entry and a solved
+    pulse is recorded under its job's key, with no second keying.
 
     All operations are thread-safe.  For coarse-grain parallelism the
     pipeline uses {!fork}/{!absorb}: each candidate works on a private
@@ -111,7 +111,3 @@ val hit_rate : t -> float
 
 (** [stats] as labelled counters for the pass pipeline's trace sink. *)
 val counters : stats -> (string * int) list
-
-(** Fold over every stored entry with its bucket key, in unspecified
-    order. *)
-val fold_entries : t -> init:'a -> (Digest.t -> entry -> 'a -> 'a) -> 'a

@@ -1088,6 +1088,155 @@ let test_warm_synthesis_domain_determinism () =
   Alcotest.(check bool) "1 vs 4 domains identical" true (run 1 = run 4);
   rm_rf dir
 
+(* --- what a compile publishes --------------------------------------------- *)
+
+(* The record lines of a store file, header dropped, as a sorted list:
+   the store's records compared as a set. *)
+let record_set dir =
+  match String.split_on_char '\n' (read_file (records_path dir)) with
+  | [] -> []
+  | _header :: records ->
+      List.sort compare (List.filter (fun l -> String.trim l <> "") records)
+
+(* The EPOC flow with every candidate's finished IR captured: the graph
+   stage's candidates (the ZX result first when it is used, then the
+   peephole one) through the default config's pass list. *)
+let capturing_flow captured =
+  let lock = Mutex.create () in
+  let capture =
+    Pass.make "capture" (fun _ ir ->
+        Mutex.protect lock (fun () -> captured := ir :: !captured);
+        ir)
+  in
+  let graph _ctx circuit =
+    let open Epoc_zx.Zx in
+    let g = optimize circuit in
+    let p = optimize ~strategy:Peephole_only circuit in
+    ( (if g.used = Graph then [ (g.circuit, true) ] else [])
+      @ [ (p.circuit, false) ],
+      [] )
+  in
+  {
+    Pipeline.graph;
+    passes =
+      (fun _ ->
+        Stages.
+          [
+            reorder_gates; partition; synthesis; reorder_vugs; regroup_sweep;
+            pulses; schedule; capture;
+          ]);
+  }
+
+(* A cold compile on a fresh store records exactly what its candidates
+   solved: the union of their [Ir.fresh_pulses], winner first, so where
+   two candidates priced one unitary the store holds the winner's
+   value.  bb84 yields two candidates.  A warm run then misses
+   nothing. *)
+let test_publishes_fresh_pulses () =
+  let dir = tmp_dir "publish" and expected = tmp_dir "publish-expected" in
+  let circuit = Epoc_benchmarks.Benchmarks.find "bb84" in
+  let cfg = { Config.default with Config.cache_dir = Some dir } in
+  let captured = ref [] in
+  let r =
+    Pipeline.compile_flow
+      (Engine.session ~config:cfg ~name:"bb84" (Engine.create ~config:cfg ()))
+      (capturing_flow captured) circuit
+  in
+  let plain =
+    Pipeline.compile (Engine.session ~name:"bb84" (Engine.create ())) circuit
+  in
+  Alcotest.(check bool) "the capturing flow compiles like the EPOC flow" true
+    (r.Pipeline.schedule = plain.Pipeline.schedule);
+  let irs =
+    List.sort
+      (fun (a : Ir.t) (b : Ir.t) ->
+        compare (not a.Ir.zx_used_graph) (not b.Ir.zx_used_graph))
+      !captured
+  in
+  Alcotest.(check int) "two candidates" 2 (List.length irs);
+  let _, winner =
+    Stages.best_by_latency (List.map (fun ir -> (Ir.schedule_exn ir, ir)) irs)
+  in
+  let published = winner :: List.filter (fun ir -> ir != winner) irs in
+  Alcotest.(check bool) "both candidates solved pulses" true
+    (List.for_all (fun ir -> Ir.fresh_pulses ir <> []) irs);
+  let union = Store.open_dir expected in
+  List.iter
+    (fun ir ->
+      List.iter (fun (key, e) -> Store.record union ~key e) (Ir.fresh_pulses ir))
+    published;
+  Store.flush union;
+  Alcotest.(check (list string)) "store holds the winner-first union"
+    (record_set expected) (record_set dir);
+  let metrics = M.create () in
+  ignore
+    (Pipeline.compile
+       (Engine.session ~config:cfg ~metrics ~name:"bb84"
+          (Engine.create ~config:cfg ()))
+       circuit);
+  Alcotest.(check int) "warm run misses nothing" 0
+    (M.counter_value metrics "cache.misses");
+  rm_rf dir;
+  rm_rf expected
+
+(* The store records what a run solved, not what its library held: a
+   compile whose explicit library an earlier store-less compile filled
+   resolves every job from that library and persists none of its
+   entries. *)
+let test_found_entries_not_recorded () =
+  let dir = tmp_dir "found" in
+  let circuit = Epoc_benchmarks.Benchmarks.find "qaoa" in
+  let library = Library.create () in
+  ignore
+    (Pipeline.compile
+       (Engine.session ~library ~name:"qaoa" (Engine.create ()))
+       circuit);
+  Alcotest.(check bool) "the store-less compile filled the library" true
+    ((Library.stats library).Library.entries > 0);
+  let cfg = { Config.default with Config.cache_dir = Some dir } in
+  let metrics = M.create () in
+  ignore
+    (Pipeline.compile
+       (Engine.session ~config:cfg ~library ~metrics ~name:"qaoa"
+          (Engine.create ~config:cfg ()))
+       circuit);
+  Alcotest.(check int) "no store probe" 0
+    (M.counter_value metrics "cache.misses");
+  Alcotest.(check int) "nothing recorded" 0
+    (Store.loaded_count (Store.open_dir dir));
+  rm_rf dir
+
+(* A store that cannot be written costs its records' persistence, not
+   the compile: with the record file replaced by a directory the flush
+   fails, the compile still returns the store-less schedule, the engine
+   registry counts the failure, and the run's records stay queued. *)
+let test_unwritable_store () =
+  let dir = tmp_dir "unwritable" in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (records_path dir) 0o755;
+  let circuit = Epoc_benchmarks.Benchmarks.find "qaoa" in
+  let cfg = { Config.default with Config.cache_dir = Some dir } in
+  let engine = Engine.create ~config:cfg () in
+  let metrics = M.create () in
+  let r =
+    Pipeline.compile (Engine.session ~config:cfg ~metrics ~name:"qaoa" engine)
+      circuit
+  in
+  let plain =
+    Pipeline.compile (Engine.session ~name:"qaoa" (Engine.create ())) circuit
+  in
+  Alcotest.(check bool) "store-less schedule" true
+    (r.Pipeline.schedule = plain.Pipeline.schedule);
+  Alcotest.(check int) "one flush error on the engine registry" 1
+    (M.counter_value (Engine.metrics engine) "cache.flush_errors");
+  Alcotest.(check int) "none on the run's registry" 0
+    (M.counter_value metrics "cache.flush_errors");
+  Alcotest.(check int) "every solved pulse stays pending"
+    (M.counter_value metrics "cache.misses")
+    (Store.pending_count (Option.get (Engine.cache engine)));
+  Unix.rmdir (records_path dir);
+  rm_rf dir
+
 let () =
   Alcotest.run "cache"
     [
@@ -1133,6 +1282,14 @@ let () =
             test_warm_synthesis_same_unitary_blocks;
           Alcotest.test_case "warm-synthesis domain determinism" `Quick
             test_warm_synthesis_domain_determinism;
+        ] );
+      ( "publish",
+        [
+          Alcotest.test_case "winner-first union of fresh pulses" `Quick
+            test_publishes_fresh_pulses;
+          Alcotest.test_case "found entries are not recorded" `Quick
+            test_found_entries_not_recorded;
+          Alcotest.test_case "unwritable store" `Quick test_unwritable_store;
         ] );
       ( "warm-start",
         [

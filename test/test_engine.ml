@@ -299,6 +299,35 @@ let test_warm_repeat_reproduces_cold () =
         (String.equal cold (pulse_ir ())))
     warm_repeat_draws
 
+(* The pulses stage reports its own compile's library traffic: a warm
+   repeat on one engine (qaoa yields one candidate) counts the hits and
+   misses of that compile, which is how far the shared library's running
+   totals moved, not the totals themselves. *)
+let test_warm_repeat_stage_counters () =
+  let engine = Engine.create () in
+  let compile () = run ~engine ~name:"qaoa" (qaoa ()) in
+  let count (r : Pipeline.result) name =
+    let open Epoc_obs.Trace in
+    match
+      List.find_opt (fun e -> e.name = "cand0/pulses") (events r.Pipeline.trace)
+    with
+    | Some e -> Option.value ~default:(-1) (List.assoc_opt name e.counters)
+    | None -> Alcotest.fail "no cand0/pulses span"
+  in
+  let cold = compile () in
+  let warm = compile () in
+  let before = cold.Pipeline.library_stats in
+  let after = warm.Pipeline.library_stats in
+  Alcotest.(check bool) "the cold compile missed" true
+    (count cold "misses" > 0);
+  Alcotest.(check int) "cold misses are the library's" before.Library.misses
+    (count cold "misses");
+  Alcotest.(check int) "warm repeat misses nothing" 0 (count warm "misses");
+  Alcotest.(check int) "warm hits are this compile's"
+    (after.Library.hits - before.Library.hits)
+    (count warm "hits");
+  Alcotest.(check bool) "the warm repeat hit" true (count warm "hits" > 0)
+
 let () =
   Alcotest.run "engine"
     [
@@ -324,6 +353,8 @@ let () =
         [
           Alcotest.test_case "reproduces the cold schedule" `Quick
             test_warm_repeat_reproduces_cold;
+          Alcotest.test_case "stage counters are the compile's own" `Quick
+            test_warm_repeat_stage_counters;
         ] );
       ( "concurrency",
         [

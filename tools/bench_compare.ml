@@ -36,50 +36,85 @@ let read_file path =
   | s -> s
   | exception Sys_error m -> die "bench_compare: %s" m
 
+(* The one bench JSON shape this build reads: schema 4, as bench/main.ml
+   writes it. *)
+let schema_version = 4
+
+(* The micro-benchmark lanes the hard gate compares: what, section,
+   field, unit. *)
+let micro_lanes =
+  [
+    ("grape_micro", "grape_micro", "iters_per_s", "iters/s");
+    ("grape_micro/batch", "grape_micro", "batch_iters_per_s", "iters/s");
+    ("grape2q_micro", "grape2q_micro", "iters_per_s", "iters/s");
+    ("synth_micro", "synth_micro", "steps_per_s", "steps/s");
+  ]
+
+let num_field name j = Option.bind (J.member name j) J.to_num
+
+let micro_value json ~section ~field =
+  Option.bind (J.member section json) (num_field field)
+
+let metrics_counters b =
+  Option.bind (J.member "metrics" b) (J.member "counters")
+
+(* Parse [path] and check that it has that shape: the schema version,
+   and every section a check reads — a name and a metrics.counters
+   object on each benchmark row, the synth_cache_sweep rows and a number
+   for each micro lane.  Anything else is a parse error, so no check is
+   ever skipped for want of its input. *)
 let load path =
-  match J.parse (read_file path) with
-  | Ok v -> v
-  | Error m -> die "bench_compare: %s: %s" path m
-
-(* The bench JSON shapes this build understands (bench/main.ml writes
-   the newest).  Both inputs must carry one: silently mis-parsing a file
-   produced by a different shape is worse than failing.  v2 added
-   per-benchmark degraded_blocks/retries; v3 added synth_cache_sweep
-   (additive, so a v2 baseline still compares cleanly — the sweep checks
-   just skip); v4 added the device_sweep section and per-benchmark
-   ir_roundtrip flags (also additive). *)
-let supported_schema_versions = [ 2; 3; 4 ]
-
-let check_schema path json =
-  match Option.bind (J.member "schema_version" json) J.to_int with
-  | Some v when List.mem v supported_schema_versions -> ()
+  let json =
+    match J.parse (read_file path) with
+    | Ok v -> v
+    | Error m -> die "bench_compare: %s: %s" path m
+  in
+  (match Option.bind (J.member "schema_version" json) J.to_int with
+  | Some v when v = schema_version -> ()
   | Some v ->
       die
         "bench_compare: %s: schema_version %d not supported (this build \
-         speaks %s); regenerate the file with the matching bench harness"
-        path v
-        (String.concat ", "
-           (List.map string_of_int supported_schema_versions))
+         speaks %d); regenerate the file with the matching bench harness"
+        path v schema_version
   | None ->
       die
         "bench_compare: %s: missing schema_version — the file predates the \
          versioned bench format; regenerate it with `dune exec bench/main.exe \
          -- json`"
-        path
+        path);
+  let missing what =
+    die
+      "bench_compare: %s: no %s; regenerate the file with `dune exec \
+       bench/main.exe -- json`"
+      path what
+  in
+  (match Option.bind (J.member "benchmarks" json) J.to_list with
+  | None -> missing "\"benchmarks\" array"
+  | Some rows ->
+      List.iter
+        (fun b ->
+          match
+            (Option.bind (J.member "name" b) J.to_str, metrics_counters b)
+          with
+          | None, _ -> missing "benchmark name"
+          | Some _, Some (J.Obj _) -> ()
+          | Some name, _ -> missing (name ^ " metrics.counters"))
+        rows);
+  if Option.bind (J.member "synth_cache_sweep" json) J.to_list = None then
+    missing "synth_cache_sweep";
+  List.iter
+    (fun (_, section, field, _) ->
+      if micro_value json ~section ~field = None then
+        missing (section ^ "." ^ field))
+    micro_lanes;
+  json
 
-(* --- accessors over the bench JSON shape --------------------------------- *)
+(* --- accessors over the checked shape ------------------------------------- *)
 
 let benchmarks json =
-  match Option.bind (J.member "benchmarks" json) J.to_list with
-  | Some l -> l
-  | None -> die "bench_compare: no \"benchmarks\" array"
+  Option.get (Option.bind (J.member "benchmarks" json) J.to_list)
 
-let bench_name b =
-  match Option.bind (J.member "name" b) J.to_str with
-  | Some n -> n
-  | None -> die "bench_compare: benchmark without a name"
-
-let num_field name j = Option.bind (J.member name j) J.to_num
+let bench_name b = Option.get (Option.bind (J.member "name" b) J.to_str)
 
 (* stage name -> wall_s *)
 let stage_walls b =
@@ -95,9 +130,8 @@ let stage_walls b =
           | _ -> None)
         stages
 
-(* metrics counters section, when present (older baselines lack it) *)
 let counters b =
-  match Option.bind (J.member "metrics" b) (J.member "counters") with
+  match metrics_counters b with
   | Some (J.Obj fields) ->
       List.filter_map
         (fun (k, v) -> Option.map (fun n -> (k, n)) (J.to_int v))
@@ -167,82 +201,57 @@ let compare_benchmark gate base cand =
 
 (* Micro-benchmark throughput: higher is better, so the check is
    inverted and has no absolute floor (the micro-benchmarks always run
-   long enough).  A field the baseline lacks — [batch_iters_per_s]
-   before the batched solver, the whole [synth_micro] section before the
-   exact-gradient instantiation lane, [grape2q_micro] before the 2-qubit
-   GRAPE lane — skips its check rather than
-   failing; a field the baseline has and the candidate lacks (or holds
-   a non-number) is a regression, so a lane dropped by a refactor cannot
-   pass the gate. *)
-let compare_throughput gate ~what ~section ~field ~unit base cand =
-  let value json = Option.bind (J.member section json) (num_field field) in
-  match (value base, value cand) with
-  | None, _ -> ()
-  | Some b, None ->
-      Printf.printf "REGRESSION %-40s %10.1f %s -> no %s.%s in the candidate\n"
-        what b unit section field;
-      gate.regressions <- gate.regressions + 1
-  | Some b, Some c when b > 0.0 ->
-      let drop = 100.0 *. (b -. c) /. b in
-      if drop > gate.threshold then begin
-        Printf.printf "REGRESSION %-40s %10.1f -> %10.1f %s (-%.1f%%)\n" what
-          b c unit drop;
-        gate.regressions <- gate.regressions + 1
-      end
-      else if drop < -.gate.threshold then
-        Printf.printf "improved   %-40s %10.1f -> %10.1f %s (+%.1f%%)\n" what
-          b c unit (-.drop)
-  | Some _, Some _ -> ()
-
+   long enough). *)
 let compare_micro gate base cand =
-  compare_throughput gate ~what:"grape_micro" ~section:"grape_micro"
-    ~field:"iters_per_s" ~unit:"iters/s" base cand;
-  compare_throughput gate ~what:"grape_micro/batch" ~section:"grape_micro"
-    ~field:"batch_iters_per_s" ~unit:"iters/s" base cand;
-  compare_throughput gate ~what:"grape2q_micro" ~section:"grape2q_micro"
-    ~field:"iters_per_s" ~unit:"iters/s" base cand;
-  compare_throughput gate ~what:"synth_micro" ~section:"synth_micro"
-    ~field:"steps_per_s" ~unit:"steps/s" base cand
+  List.iter
+    (fun (what, section, field, unit) ->
+      let b = Option.get (micro_value base ~section ~field)
+      and c = Option.get (micro_value cand ~section ~field) in
+      if b > 0.0 then begin
+        let drop = 100.0 *. (b -. c) /. b in
+        if drop > gate.threshold then begin
+          Printf.printf "REGRESSION %-40s %10.1f -> %10.1f %s (-%.1f%%)\n" what
+            b c unit drop;
+          gate.regressions <- gate.regressions + 1
+        end
+        else if drop < -.gate.threshold then
+          Printf.printf "improved   %-40s %10.1f -> %10.1f %s (+%.1f%%)\n" what
+            b c unit (-.drop)
+      end)
+    micro_lanes
 
-(* synth_cache_sweep (v3+): a correctness gate on the candidate alone —
-   the warm run must replay the cold schedule exactly (identical
+(* synth_cache_sweep: a correctness gate on the candidate alone — the
+   warm run must replay the cold schedule exactly (identical
    latency/ESP), hit the store, and never enter QSearch: no expansions,
    and no searches where the row counts them ([qsearch_runs]; a search
-   that solves at the root expands nothing).  Skipped when the
-   candidate predates the section. *)
+   that solves at the root expands nothing). *)
 let check_synth_sweep gate cand =
-  match Option.bind (J.member "synth_cache_sweep" cand) J.to_list with
-  | None -> ()
-  | Some rows ->
-      List.iter
-        (fun row ->
-          let name =
-            Option.value ~default:"?"
-              (Option.bind (J.member "name" row) J.to_str)
-          in
-          let side s field =
-            Option.bind (J.member s row) (num_field field)
-          in
-          let fail what =
-            Printf.printf "REGRESSION %-40s %s\n"
-              (Printf.sprintf "synth_cache/%s" name) what;
-            gate.regressions <- gate.regressions + 1
-          in
-          (match (side "cold" "latency_ns", side "warm" "latency_ns") with
-          | Some c, Some w when c <> w -> fail "warm latency differs from cold"
-          | _ -> ());
-          (match (side "cold" "esp", side "warm" "esp") with
-          | Some c, Some w when c <> w -> fail "warm ESP differs from cold"
-          | _ -> ());
-          (match side "warm" "synth_cache_hits" with
-          | Some h when h <= 0.0 -> fail "warm run missed the synthesis cache"
-          | _ -> ());
-          match (side "warm" "qsearch_expansions", side "warm" "qsearch_runs")
-          with
-          | Some e, _ when e > 0.0 -> fail "warm run still ran QSearch"
-          | _, Some n when n > 0.0 -> fail "warm run still ran QSearch"
-          | _ -> ())
-        rows
+  List.iter
+    (fun row ->
+      let name =
+        Option.value ~default:"?" (Option.bind (J.member "name" row) J.to_str)
+      in
+      let side s field = Option.bind (J.member s row) (num_field field) in
+      let fail what =
+        Printf.printf "REGRESSION %-40s %s\n"
+          (Printf.sprintf "synth_cache/%s" name) what;
+        gate.regressions <- gate.regressions + 1
+      in
+      (match (side "cold" "latency_ns", side "warm" "latency_ns") with
+      | Some c, Some w when c <> w -> fail "warm latency differs from cold"
+      | _ -> ());
+      (match (side "cold" "esp", side "warm" "esp") with
+      | Some c, Some w when c <> w -> fail "warm ESP differs from cold"
+      | _ -> ());
+      (match side "warm" "synth_cache_hits" with
+      | Some h when h <= 0.0 -> fail "warm run missed the synthesis cache"
+      | _ -> ());
+      match (side "warm" "qsearch_expansions", side "warm" "qsearch_runs")
+      with
+      | Some e, _ when e > 0.0 -> fail "warm run still ran QSearch"
+      | _, Some n when n > 0.0 -> fail "warm run still ran QSearch"
+      | _ -> ())
+    (Option.get (Option.bind (J.member "synth_cache_sweep" cand) J.to_list))
 
 let () =
   let threshold = ref 20.0 in
@@ -276,8 +285,6 @@ let () =
   | [ baseline_file; candidate_file ] ->
       let baseline = load baseline_file in
       let candidate = load candidate_file in
-      check_schema baseline_file baseline;
-      check_schema candidate_file candidate;
       let gate =
         {
           threshold = !threshold;
