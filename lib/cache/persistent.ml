@@ -112,8 +112,9 @@ module Make (C : CODEC) = struct
     mutable loaded : int; (* valid records read at open *)
     mutable skipped : int; (* unparsable lines skipped at open *)
     mutable merged : int; (* distinct records on disk after last open/flush *)
-    mutable pending : (string * C.entry * string) list;
-        (* (key, entry, line) of the records awaiting flush, newest first *)
+    mutable pending : (string * C.entry) list;
+        (* (key, entry) of the records awaiting flush, newest first; each
+           is rendered as a line only when a flush appends it *)
     mutable mark : mark option;
         (* [None] until the handle read or wrote a header this build
            speaks *)
@@ -265,7 +266,7 @@ module Make (C : CODEC) = struct
         let bucket = bucket_of t key in
         if not (in_bucket bucket e) then begin
           Hashtbl.replace t.table key (bucket @ [ e ]);
-          t.pending <- (key, e, C.to_line ~key e) :: t.pending
+          t.pending <- (key, e) :: t.pending
         end)
 
   let with_file_lock t f =
@@ -290,7 +291,7 @@ module Make (C : CODEC) = struct
      already on disk equals. *)
   let absorb t ~from_header records =
     let in_file = Hashtbl.create 16 in
-    let is_pending e = List.exists (fun (_, p, _) -> p == e) t.pending in
+    let is_pending e = List.exists (fun (_, p) -> p == e) t.pending in
     List.fold_left
       (fun added r ->
         let key = C.key r in
@@ -311,7 +312,7 @@ module Make (C : CODEC) = struct
           (match held with
           | None -> Hashtbl.replace t.table key (bucket @ [ r ])
           | Some e ->
-              t.pending <- List.filter (fun (_, p, _) -> p != e) t.pending);
+              t.pending <- List.filter (fun (_, p) -> p != e) t.pending);
           added + 1
         end)
       0 records
@@ -365,8 +366,8 @@ module Make (C : CODEC) = struct
       Buffer.add_char buf '\n'
     end;
     List.iter
-      (fun (_, _, l) ->
-        Buffer.add_string buf l;
+      (fun (key, e) ->
+        Buffer.add_string buf (C.to_line ~key e);
         Buffer.add_char buf '\n')
       fresh;
     let n = Buffer.length buf in

@@ -96,7 +96,7 @@ module Make (C : CODEC) : sig
       must be [C.key e] (no-op if the codec says an equal entry is
       already held in that bucket).  Callers pass the key they already
       computed for their probe, so recording keys nothing.  Thread-safe;
-      nothing touches the disk until {!flush}. *)
+      nothing is rendered or touches the disk until {!flush}. *)
   val record : t -> key:string -> C.entry -> unit
 
   (** Append pending records to the record file under the in-process
@@ -106,7 +106,9 @@ module Make (C : CODEC) : sig
       key bucket is dropped rather than duplicated.  Only the records
       written leave the queue: one {!record}ed by another domain during
       the write waits for the next flush, and a write that raises keeps
-      them all queued.  No-op when nothing is pending. *)
+      them all queued.  Each record is rendered with [C.to_line] as it
+      is appended, so a queue held while the file cannot be written
+      holds no text.  No-op when nothing is pending. *)
   val flush : t -> unit
 
   (** Number of records queued but not yet flushed. *)

@@ -76,13 +76,10 @@ let remap ~new_n ~f c =
 (* --- statistics -------------------------------------------------------- *)
 
 let depth c =
-  let level = Array.make c.n 0 in
-  List.iter
-    (fun op ->
-      let d = 1 + List.fold_left (fun acc q -> max acc level.(q)) 0 op.qubits in
-      List.iter (fun q -> level.(q) <- d) op.qubits)
-    c.ops;
-  Array.fold_left max 0 level
+  int_of_float
+    (snd
+       (Lines.asap ~n:c.n ~qubits:(fun op -> op.qubits)
+          ~duration:(fun _ -> 1.0) c.ops))
 
 let count_if pred c = List.length (List.filter pred c.ops)
 

@@ -302,6 +302,12 @@ let is_diagonal = function
       true
   | _ -> false
 
+(* Z-family frame updates: virtual on transmon stacks, so every timing
+   model prices them at zero. *)
+let is_virtual = function
+  | I | Z | S | Sdg | T | Tdg | RZ _ | Phase _ -> true
+  | _ -> false
+
 let is_clifford = function
   | I | X | Y | Z | H | S | Sdg | SX | SXdg | CX | CY | CZ | SWAP | ISWAP ->
       true

@@ -1,4 +1,5 @@
-(* Commutation-aware list scheduling / reordering.
+(* Commutation-aware list scheduling / reordering, on the qubit-line
+   model of [Lines].
 
    Dependencies: gate j depends on an earlier gate i iff they share a
    qubit and do not commute ([Peephole.commutes]: diagonal gates slide
@@ -15,71 +16,33 @@
    only by swaps of commuting or disjoint gates. *)
 
 let weight (op : Circuit.op) =
-  match op.Circuit.gate with
-  | Gate.RZ _ | Gate.Phase _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg
-  | Gate.I ->
-      0
-  | g when Gate.arity g = 1 -> 1
-  | _ -> 6
+  if Gate.is_virtual op.Circuit.gate then 0.0
+  else if Gate.arity op.Circuit.gate = 1 then 1.0
+  else 6.0
 
-let dependencies (ops : Circuit.op array) =
-  let n = Array.length ops in
-  let deps = Array.make n [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let shares =
-        List.exists (fun q -> List.mem q ops.(j).Circuit.qubits) ops.(i).Circuit.qubits
-      in
-      if shares && not (Peephole.commutes ops.(i) ops.(j)) then
-        deps.(j) <- i :: deps.(j)
-    done
-  done;
-  deps
+let qubits (op : Circuit.op) = op.Circuit.qubits
 
 let commutation_aware (c : Circuit.t) =
-  let ops = Array.of_list (Circuit.ops c) in
-  let n = Array.length ops in
-  let deps = dependencies ops in
-  let emitted = Array.make n false in
-  let finish = Array.make n 0 in
-  (* completion time of each emitted gate *)
-  let line = Array.make (Circuit.n_qubits c) 0 in
-  let order = ref [] in
-  for _ = 1 to n do
-    (* ready gates: all dependencies emitted *)
-    let best = ref (-1) in
-    let best_start = ref max_int in
-    for i = 0 to n - 1 do
-      if (not emitted.(i)) && List.for_all (fun d -> emitted.(d)) deps.(i) then begin
-        let dep_ready =
-          List.fold_left (fun acc d -> max acc finish.(d)) 0 deps.(i)
-        in
-        let line_ready =
-          List.fold_left (fun acc q -> max acc line.(q)) 0 ops.(i).Circuit.qubits
-        in
-        let start = max dep_ready line_ready in
-        if start < !best_start then begin
-          best_start := start;
-          best := i
-        end
-      end
-    done;
-    let i = !best in
-    emitted.(i) <- true;
-    let fin = !best_start + weight ops.(i) in
-    finish.(i) <- fin;
-    List.iter (fun q -> line.(q) <- fin) ops.(i).Circuit.qubits;
-    order := ops.(i) :: !order
-  done;
-  Circuit.of_ops (Circuit.n_qubits c) (List.rev !order)
+  let n = Circuit.n_qubits c in
+  Circuit.of_ops n
+    (Lines.list_order ~n ~qubits ~duration:weight ~commute:Peephole.commutes
+       (Circuit.ops c))
+
+(* Critical path of the weighted gates in program order: the latency
+   proxy the ZX stage compares its candidates by. *)
+let weighted_depth (c : Circuit.t) =
+  int_of_float
+    (snd
+       (Lines.asap ~n:(Circuit.n_qubits c) ~qubits ~duration:weight
+          (Circuit.ops c)))
 
 (* Commutation-aware depth: length of the longest dependency chain. *)
 let depth (c : Circuit.t) =
   let ops = Array.of_list (Circuit.ops c) in
-  let deps = dependencies ops in
-  let n = Array.length ops in
-  let level = Array.make n 1 in
-  for i = 0 to n - 1 do
-    List.iter (fun d -> level.(i) <- max level.(i) (level.(d) + 1)) deps.(i)
-  done;
+  let deps = Lines.dependencies ~qubits ~commute:Peephole.commutes ops in
+  let level = Array.make (Array.length ops) 1 in
+  Array.iteri
+    (fun i ds ->
+      List.iter (fun d -> level.(i) <- max level.(i) (level.(d) + 1)) ds)
+    deps;
   Array.fold_left max 0 level

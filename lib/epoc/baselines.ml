@@ -11,9 +11,10 @@
      description — uniform two-qubit sub-circuits of bounded depth, QOC per
      sub-circuit with a pulse library; no ZX, no synthesis, and
      phase-*sensitive* library matching.  (AccQOC's MST-ordered library
-     construction only affects compile time, which we account for by
-     constructing the library in similarity order.)  Runs the EPOC pass
-     list under a restricted config.
+     construction only affects compile time: the flow solves its pulses
+     in job order unless [--similarity-order] is given, which chains
+     them in similarity order.)  Runs the EPOC pass list under a
+     restricted config.
    - [paqoc_like]: PAQOC (Chen et al., HPCA'23) approximated as
      program-aware grouping: frequent gate-pair patterns are mined, and
      with three or more of them the program is grouped with a larger
@@ -24,10 +25,6 @@ open Epoc_partition
 open Epoc_pulse
 
 (* --- gate-based ----------------------------------------------------------- *)
-
-(* Calibrated per-gate pulse table, shared with the graceful-degradation
-   fallback of the pulse stage (one table, one pricing). *)
-let gate_pulse = Stages.gate_pulse
 
 (* Lower exotic gates to the calibrated basis.  The lowered circuit is
    also recorded as the flow's "VUG circuit" so the generic stage stats
@@ -40,7 +37,8 @@ let lower_pass =
       let lowered = Lower.to_zx_basis ir.Ir.circuit in
       { ir with Ir.circuit = lowered; vug_circuit = lowered })
 
-(* One calibrated pulse per gate; virtual gates are dropped.  Gates are
+(* One calibrated pulse per gate ([Stages.gate_instructions], the
+   pricing the graceful-degradation fallback plays too).  Gates are
    priced on the two-qubit default model: the reference gate times do
    not depend on the model's width, so a circuit-wide Hamiltonian would
    only cost 2^n memory. *)
@@ -54,22 +52,7 @@ let gate_pulses_pass =
         Epoc_qoc.Hardware.make ~dt:config.Config.dt
           ~t_coherence:config.Config.t_coherence 2
       in
-      let instructions =
-        List.filter_map
-          (fun (op : Circuit.op) ->
-            let duration, fidelity = gate_pulse hw op.Circuit.gate in
-            if duration = 0.0 && fidelity = 1.0 then None
-            else
-              Some
-                {
-                  Schedule.qubits = op.Circuit.qubits;
-                  duration;
-                  fidelity;
-                  label = Gate.name op.Circuit.gate;
-                  pulse = None;
-                })
-          (Circuit.ops ir.Ir.circuit)
-      in
+      let instructions = Stages.gate_instructions hw ir.Ir.circuit in
       Epoc_obs.Metrics.incr ~by:(List.length instructions) ctx.Pass.metrics
         "gate.pulses";
       { ir with Ir.instructions })

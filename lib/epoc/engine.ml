@@ -41,6 +41,8 @@ type t = {
       (* device zoo: builtins plus loaded device files; name -> device *)
   metrics : Metrics.t; (* engine registry: infrastructure, not per-run *)
   next_rid : int Atomic.t; (* request-id counter; unique per engine *)
+  cache_failing : bool Atomic.t; (* the pulse store's last flush failed *)
+  synth_failing : bool Atomic.t; (* the synthesis store's last flush failed *)
 }
 
 (* [config] seeds the engine-owned resources: the store directories and
@@ -66,6 +68,8 @@ let create ?(config = Config.default) ?domains ?pool () =
     devices = Epoc_device.Device.Registry.create ();
     metrics;
     next_rid = Atomic.make 1;
+    cache_failing = Atomic.make false;
+    synth_failing = Atomic.make false;
   }
 
 let pool t = t.pool
@@ -95,21 +99,32 @@ module Cache_log = (val Logs.src_log Store.log_src : Logs.LOG)
    also calls this on shutdown so a drained process leaves nothing
    unpersisted.  A failed write costs its records' persistence, not the
    compile or the daemon; its count depends on the file system, not on
-   the run, so it goes to the engine registry. *)
+   the run, so it goes to the engine registry.  Every failure is
+   counted, but only the first of a streak warns: a daemon on a broken
+   store would otherwise warn once per job.  The first flush that
+   succeeds again ends the streak and says so. *)
 let flush t =
-  let guarded what flush store =
+  let guarded what failing flush store =
     let failed reason =
       Metrics.incr t.metrics "cache.flush_errors";
-      Cache_log.warn (fun m ->
-          m "%s flush failed, its records stay queued: %s" what reason)
+      if not (Atomic.exchange failing true) then
+        Cache_log.warn (fun m ->
+            m "%s flush failed, its records stay queued: %s" what reason)
     in
-    try flush store with
-    | Unix.Unix_error (err, fn, arg) ->
+    match flush store with
+    | () ->
+        if Atomic.exchange failing false then
+          Cache_log.info (fun m ->
+              m "%s flush succeeded again, its queued records are written"
+                what)
+    | exception Unix.Unix_error (err, fn, arg) ->
         failed (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err))
-    | Sys_error reason -> failed reason
+    | exception Sys_error reason -> failed reason
   in
-  Option.iter (guarded "pulse store" Store.flush) t.cache;
-  Option.iter (guarded "synthesis store" Synth_store.flush) t.synth
+  Option.iter (guarded "pulse store" t.cache_failing Store.flush) t.cache;
+  Option.iter
+    (guarded "synthesis store" t.synth_failing Synth_store.flush)
+    t.synth
 
 (* --- sessions ------------------------------------------------------------ *)
 

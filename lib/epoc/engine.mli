@@ -70,8 +70,10 @@ val hardware_for_block : t -> Config.t -> int list -> Hardware.t
 
 (** Flush both persistent stores once (no-op without stores or with
     nothing pending).  A store whose flush raises [Unix_error] or
-    [Sys_error] is named in a warning on ["epoc.cache"], counted in
-    [cache.flush_errors] on {!metrics} and keeps its records queued. *)
+    [Sys_error] is counted in [cache.flush_errors] on {!metrics} and
+    keeps its records queued; the first failure of a streak is named in
+    a warning on ["epoc.cache"], and the flush that ends the streak is
+    logged at info level. *)
 val flush : t -> unit
 
 (** {1 Sessions} *)

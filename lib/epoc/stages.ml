@@ -37,9 +37,7 @@ let gate_pulse (hw : Hardware.t) (g : Gate.t) =
   let t1 = Hardware.single_qubit_gate_time hw in
   let t2 = Hardware.entangling_gate_time hw in
   match g with
-  | Gate.RZ _ | Gate.Phase _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg
-  | Gate.I ->
-      (0.0, 1.0) (* virtual Z: frame update *)
+  | g when Gate.is_virtual g -> (0.0, 1.0) (* virtual Z: frame update *)
   | Gate.SX | Gate.SXdg -> (t1 /. 2.0, 0.9997)
   | g when Gate.arity g = 1 -> (t1, 0.9995)
   | Gate.CX | Gate.CZ -> (t2, 0.994)
@@ -47,30 +45,38 @@ let gate_pulse (hw : Hardware.t) (g : Gate.t) =
       (* multi-qubit natives are not calibrated: count their CX content *)
       (t2 *. float_of_int (2 * (Gate.arity g - 1)), 0.99)
 
+(* One calibrated pulse per gate of a lowered circuit, in program order;
+   virtual gates are dropped.  The gate-based flow's instructions. *)
+let gate_instructions (hw : Hardware.t) (lowered : Circuit.t) =
+  List.filter_map
+    (fun (op : Circuit.op) ->
+      if Gate.is_virtual op.Circuit.gate then None
+      else
+        let duration, fidelity = gate_pulse hw op.Circuit.gate in
+        Some
+          {
+            Schedule.qubits = op.Circuit.qubits;
+            duration;
+            fidelity;
+            label = Gate.name op.Circuit.gate;
+            pulse = None;
+          })
+    (Circuit.ops lowered)
+
 (* Per-gate pulse playback for one block: the graceful-degradation
    target when a block's GRAPE retries are exhausted.  The block's
-   local circuit is lowered to the calibrated basis (the gate-based
-   flow's lowering), the duration is the block-local ASAP critical
-   path of the per-gate pulses and the fidelity their product — the
-   same pricing the gate-based baseline would give this block. *)
+   local circuit is lowered to the calibrated basis and played as the
+   gate-based flow's instructions: the duration is their block-local
+   ASAP schedule's latency and the fidelity their product — the same
+   pricing the gate-based baseline gives this block. *)
 let gate_fallback (hw : Hardware.t) (local : Circuit.t) =
   let lowered = Lower.to_zx_basis local in
-  let line = Array.make (max 1 (Circuit.n_qubits lowered)) 0.0 in
-  let fidelity = ref 1.0 in
-  List.iter
-    (fun (op : Circuit.op) ->
-      let duration, f = gate_pulse hw op.Circuit.gate in
-      fidelity := !fidelity *. f;
-      if duration > 0.0 then begin
-        let start =
-          List.fold_left
-            (fun acc q -> Float.max acc line.(q))
-            0.0 op.Circuit.qubits
-        in
-        List.iter (fun q -> line.(q) <- start +. duration) op.Circuit.qubits
-      end)
-    (Circuit.ops lowered);
-  (Array.fold_left Float.max 0.0 line, !fidelity)
+  let instructions = gate_instructions hw lowered in
+  ( Schedule.latency
+      (Schedule.schedule ~n:(Circuit.n_qubits lowered) instructions),
+    List.fold_left
+      (fun f (i : Schedule.instruction) -> f *. i.Schedule.fidelity)
+      1.0 instructions )
 
 (* Solver telemetry of one GRAPE duration search, recorded into the
    run's metrics registry.  Every recording is a counter increment or a
@@ -256,56 +262,17 @@ let instructions_commute ops_a ops_b =
         ops_b)
     ops_a
 
-(* Greedy commutation-aware list scheduling of pulse instructions:
-   repeatedly emit the ready instruction with the earliest achievable
-   start time.  Ready = all earlier non-commuting qubit-sharing
-   instructions already emitted, so the reordering only swaps commuting
-   or disjoint pulses. *)
-let list_schedule (items : (Schedule.instruction * Circuit.op list) list) =
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let deps = Array.make n [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let (ii, iops) = arr.(i) and (ji, jops) = arr.(j) in
-      let shares =
-        List.exists (fun q -> List.mem q ji.Schedule.qubits) ii.Schedule.qubits
-      in
-      if shares && not (instructions_commute iops jops) then deps.(j) <- i :: deps.(j)
-    done
-  done;
-  let emitted = Array.make n false in
-  let finish = Array.make n 0.0 in
-  let line : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  let line_time q = Option.value ~default:0.0 (Hashtbl.find_opt line q) in
-  let order = ref [] in
-  for _ = 1 to n do
-    let best = ref (-1) in
-    let best_start = ref infinity in
-    for i = 0 to n - 1 do
-      if (not emitted.(i)) && List.for_all (fun d -> emitted.(d)) deps.(i) then begin
-        let instr, _ = arr.(i) in
-        let dep_ready = List.fold_left (fun acc d -> Float.max acc finish.(d)) 0.0 deps.(i) in
-        let line_ready =
-          List.fold_left (fun acc q -> Float.max acc (line_time q)) 0.0
-            instr.Schedule.qubits
-        in
-        let start = Float.max dep_ready line_ready in
-        if start < !best_start then begin
-          best_start := start;
-          best := i
-        end
-      end
-    done;
-    let i = !best in
-    let instr, _ = arr.(i) in
-    emitted.(i) <- true;
-    let fin = !best_start +. instr.Schedule.duration in
-    finish.(i) <- fin;
-    List.iter (fun q -> Hashtbl.replace line q fin) instr.Schedule.qubits;
-    order := instr :: !order
-  done;
-  List.rev !order
+(* Commutation-aware list scheduling of pulse instructions on [n] qubit
+   lines ([Lines.list_order]): an instruction waits for the earlier
+   qubit-sharing instructions it does not commute with, so the reordering
+   only swaps commuting or disjoint pulses. *)
+let list_schedule ~n (items : (Schedule.instruction * Circuit.op list) list) =
+  List.map fst
+    (Lines.list_order ~n
+       ~qubits:(fun ((i : Schedule.instruction), _) -> i.Schedule.qubits)
+       ~duration:(fun ((i : Schedule.instruction), _) -> i.Schedule.duration)
+       ~commute:(fun (_, a) (_, b) -> instructions_commute a b)
+       items)
 
 (* Resolve every job against the library in three phases whose library
    interaction order is independent of the domain count:
@@ -872,7 +839,8 @@ let schedule =
                 grouping
             in
             let ordered =
-              if config.Config.commutation_reorder then list_schedule items
+              if config.Config.commutation_reorder then
+                list_schedule ~n:ir.Ir.n items
               else List.map fst items
             in
             Schedule.schedule ~n:ir.Ir.n ordered)

@@ -33,16 +33,33 @@ module Log : Logs.LOG
     graceful-degradation fallback. *)
 val gate_pulse : Hardware.t -> Gate.t -> float * float
 
+(** The gate-based flow's instructions for a circuit already lowered to
+    the calibrated basis: one {!gate_pulse} per gate in program order,
+    labelled with the gate's name, virtual gates dropped. *)
+val gate_instructions : Hardware.t -> Circuit.t -> Schedule.instruction list
+
 (** Per-gate pulse playback price of one block-local circuit
     [(duration, fidelity)]: the graceful-degradation target when a
-    block's GRAPE retries are exhausted — block-local ASAP critical
-    path of the per-gate pulses, product of their fidelities. *)
+    block's GRAPE retries are exhausted — the block lowered and played
+    as {!gate_instructions}, priced by the latency of their ASAP
+    {!Epoc_pulse.Schedule.schedule} and the product of their
+    fidelities. *)
 val gate_fallback : Hardware.t -> Circuit.t -> float * float
 
 (** Greedy nearest-neighbor visit order over the global-phase-invariant
     Hilbert-Schmidt distance (AccQOC's similarity ordering), starting at
     index 0, ties toward the lowest index.  Pure and sequential. *)
 val similarity_chain : Mat.t array -> int array
+
+(** Commutation-aware list scheduling of pulse instructions, each with
+    the gates it plays, on [n] qubit lines
+    ({!Epoc_circuit.Lines.list_order}): an instruction waits for every
+    earlier qubit-sharing instruction that has a gate it does not
+    commute with. *)
+val list_schedule :
+  n:int ->
+  (Schedule.instruction * Circuit.op list) list ->
+  Schedule.instruction list
 
 (** Resolve a batch of pulse jobs in place against [library], returning
     [(jobs, fresh computations)].  Three phases: a sequential probe

@@ -23,7 +23,6 @@ let mul = Complex.mul
 let div = Complex.div
 let neg = Complex.neg
 let conj = Complex.conj
-let inv = Complex.inv
 let norm = Complex.norm
 let norm2 = Complex.norm2
 let arg = Complex.arg

@@ -20,7 +20,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 val neg : t -> t
 val conj : t -> t
-val inv : t -> t
 val norm : t -> float
 val norm2 : t -> float
 val arg : t -> float

@@ -74,12 +74,6 @@ let of_arrays a =
   let cols = Array.length a.(0) in
   init rows cols (fun r c -> a.(r).(c))
 
-(* Convenience constructor from complex literals for tests and gate
-   tables. *)
-let of_complex_lists ll =
-  let a = Array.of_list (List.map Array.of_list ll) in
-  of_arrays a
-
 let dims_equal a b = a.rows = b.rows && a.cols = b.cols
 
 let map f m =
@@ -358,22 +352,6 @@ let one_norm m =
     if !acc > !best then best := !acc
   done;
   !best
-
-let frobenius_norm m =
-  let acc = ref 0.0 in
-  Array.iter (fun x -> acc := !acc +. (x *. x)) m.data;
-  Stdlib.sqrt !acc
-
-(* Largest absolute entry; a cheap, scale-free closeness measure. *)
-let max_abs m =
-  let best = ref 0.0 in
-  let n = Array.length m.data / 2 in
-  for i = 0 to n - 1 do
-    let re = m.data.(2 * i) and im = m.data.((2 * i) + 1) in
-    let n2 = (re *. re) +. (im *. im) in
-    if n2 > !best then best := n2
-  done;
-  Stdlib.sqrt !best
 
 let max_abs_diff a b =
   if not (dims_equal a b) then invalid_arg "Mat.max_abs_diff: dimension mismatch";

@@ -44,7 +44,6 @@ val copy : t -> t
 val zeros : int -> int -> t
 val identity : int -> t
 val of_arrays : Cx.t array array -> t
-val of_complex_lists : Cx.t list list -> t
 val dims_equal : t -> t -> bool
 val map : (Cx.t -> Cx.t) -> t -> t
 val map2 : (Cx.t -> Cx.t -> Cx.t) -> t -> t -> t
@@ -105,8 +104,6 @@ val trace_mul : t -> t -> Cx.t
     product; used for GRAPE gradient inner products. *)
 
 val one_norm : t -> float
-val frobenius_norm : t -> float
-val max_abs : t -> float
 val max_abs_diff : t -> t -> float
 val approx_equal : ?eps:float -> t -> t -> bool
 val is_square : t -> bool

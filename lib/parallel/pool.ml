@@ -128,5 +128,3 @@ let map t f xs =
       | Some v -> v :: acc
       | None -> assert false (* every index ran, or the fan-out raised *))
     results []
-
-let map_array t f xs = Array.of_list (map t f (Array.to_list xs))

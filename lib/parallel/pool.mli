@@ -47,5 +47,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     enclosing calls.  If any application raises, the exception of the
     earliest failing item (by input position) is re-raised after all
     workers finish, regardless of domain count. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array

@@ -1,9 +1,9 @@
 (* Pulse schedules: placing block pulses on qubit lines.
 
    A pulse instruction occupies all its qubit lines for its duration; the
-   schedule places instructions ASAP in program order and the circuit
-   latency is the critical path over qubit lines — exactly the qubit-line
-   utilization model the paper's latency numbers use. *)
+   schedule places instructions ASAP in program order ([Lines.asap]) and
+   the circuit latency is the critical path over qubit lines — exactly the
+   qubit-line utilization model the paper's latency numbers use. *)
 
 type instruction = {
   qubits : int list; (* global qubit indices *)
@@ -25,18 +25,17 @@ type t = {
 }
 
 let schedule ~n (instructions : instruction list) =
-  let line = Array.make n 0.0 in
-  let placed =
-    List.map
-      (fun i ->
-        let start =
-          List.fold_left (fun acc q -> Float.max acc line.(q)) 0.0 i.qubits
-        in
-        List.iter (fun q -> line.(q) <- start +. i.duration) i.qubits;
-        { instruction = i; start })
+  let starts, latency =
+    Epoc_circuit.Lines.asap ~n
+      ~qubits:(fun i -> i.qubits)
+      ~duration:(fun i -> i.duration)
       instructions
   in
-  { n; placed; latency = Array.fold_left Float.max 0.0 line }
+  let placed =
+    List.map2 (fun instruction start -> { instruction; start }) instructions
+      starts
+  in
+  { n; placed; latency }
 
 let latency s = s.latency
 

@@ -159,23 +159,16 @@ let packing_factor k = Float.max 0.6 (1.0 -. (0.13 *. float_of_int (k - 1)))
 let raw_critical_path (hw : Hardware.t) (vug_circuit : Circuit.t) =
   let t1 = Hardware.single_qubit_gate_time hw in
   let t2 = Hardware.entangling_gate_time hw in
-  let n = Circuit.n_qubits vug_circuit in
-  let line = Array.make n 0.0 in
-  List.iter
-    (fun (op : Circuit.op) ->
-      let dur =
-        match op.Circuit.gate with
-        | Gate.RZ _ | Gate.Phase _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T
-        | Gate.Tdg ->
-            0.0 (* virtual Z: frame update, free *)
-        | g when Gate.arity g = 1 -> t1
-        | Gate.CX | Gate.CZ -> t2
-        | g -> t2 *. float_of_int (Gate.arity g - 1)
-      in
-      let start = List.fold_left (fun acc q -> Float.max acc line.(q)) 0.0 op.Circuit.qubits in
-      List.iter (fun q -> line.(q) <- start +. dur) op.Circuit.qubits)
-    (Circuit.ops vug_circuit);
-  Array.fold_left Float.max 0.0 line
+  snd
+    (Lines.asap ~n:(Circuit.n_qubits vug_circuit)
+       ~qubits:(fun (op : Circuit.op) -> op.Circuit.qubits)
+       ~duration:(fun (op : Circuit.op) ->
+         match op.Circuit.gate with
+         | g when Gate.is_virtual g -> 0.0 (* virtual Z: frame update, free *)
+         | g when Gate.arity g = 1 -> t1
+         | Gate.CX | Gate.CZ -> t2
+         | g -> t2 *. float_of_int (Gate.arity g - 1))
+       (Circuit.ops vug_circuit))
 
 (* Rotation angle of a single-qubit unitary (global phase ignored):
    |tr U| = 2 |cos(theta/2)|. *)

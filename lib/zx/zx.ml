@@ -25,8 +25,8 @@ let log_src = Logs.Src.create "epoc.zx" ~doc:"ZX optimization stage"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Upper bound on qubits for unitary verification: 2^10 x 2^10 matrices. *)
-let default_verify_qubits = 8
+(* Upper bound on qubits for unitary verification: 2^8 x 2^8 matrices. *)
+let verify_qubits = 8
 
 let graph_pipeline c =
   let g = To_zx.of_circuit c in
@@ -36,8 +36,7 @@ let graph_pipeline c =
 
 type objective = Latency | Depth
 
-let optimize ?(strategy = Graph) ?(objective = Latency)
-    ?(verify_qubits = default_verify_qubits) (c : Circuit.t) =
+let optimize ?(strategy = Graph) ?(objective = Latency) (c : Circuit.t) =
   let finish used result verified =
     {
       circuit = result;
@@ -56,30 +55,16 @@ let optimize ?(strategy = Graph) ?(objective = Latency)
   (* extraction can inflate CNOT counts on dense diagrams (a known
      ZX-extraction effect); keep the graph result only when it actually
      improves on the sound peephole result.  The comparison uses a
-     weighted critical-path proxy for pulse latency (entangling gates cost
-     ~6x a single-qubit gate on the default hardware model; Z-family
-     rotations are virtual). *)
-  let latency_proxy c =
-    let weight (op : Circuit.op) =
-      match op.Circuit.gate with
-      | Gate.RZ _ | Gate.Phase _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T
-      | Gate.Tdg | Gate.I ->
-          0
-      | g when Gate.arity g = 1 -> 1
-      | _ -> 6
-    in
-    let line = Array.make (Circuit.n_qubits c) 0 in
-    List.iter
-      (fun op ->
-        let s = List.fold_left (fun acc q -> max acc line.(q)) 0 op.Circuit.qubits in
-        List.iter (fun q -> line.(q) <- s + weight op) op.Circuit.qubits)
-      (Circuit.ops c);
-    Array.fold_left max 0 line
-  in
+     weighted critical-path proxy for pulse latency
+     ([Reorder.weighted_depth]: entangling gates cost ~6x a single-qubit
+     gate on the default hardware model; Z-family rotations are
+     virtual). *)
   let cost c =
     match objective with
     | Latency ->
-        (latency_proxy c, Circuit.multi_qubit_count c, Circuit.gate_count c)
+        ( Reorder.weighted_depth c,
+          Circuit.multi_qubit_count c,
+          Circuit.gate_count c )
     | Depth -> (Circuit.depth c, Circuit.multi_qubit_count c, Circuit.gate_count c)
   in
   let better a b = cost a <= cost b in

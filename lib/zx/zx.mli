@@ -27,14 +27,11 @@ type objective = Latency | Depth
 
 (** Optimize a circuit.  The graph result is kept only when it improves
     on the sound peephole result under [objective] (a weighted
-    critical-path latency proxy by default); otherwise, and on any
-    extraction failure, the peephole result is returned. *)
-val optimize :
-  ?strategy:strategy ->
-  ?objective:objective ->
-  ?verify_qubits:int ->
-  Circuit.t ->
-  report
+    critical-path latency proxy, {!Epoc_circuit.Reorder.weighted_depth},
+    by default); otherwise, and on any extraction failure, the peephole
+    result is returned.  A kept graph result on at most 8 qubits is
+    verified against the input unitary first. *)
+val optimize : ?strategy:strategy -> ?objective:objective -> Circuit.t -> report
 
 (** Stage counters for the pass pipeline's trace sink. *)
 val counters : report -> (string * int) list

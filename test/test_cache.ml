@@ -1231,10 +1231,42 @@ let test_unwritable_store () =
     (M.counter_value (Engine.metrics engine) "cache.flush_errors");
   Alcotest.(check int) "none on the run's registry" 0
     (M.counter_value metrics "cache.flush_errors");
+  let store = Option.get (Engine.cache engine) in
   Alcotest.(check int) "every solved pulse stays pending"
     (M.counter_value metrics "cache.misses")
-    (Store.pending_count (Option.get (Engine.cache engine)));
+    (Store.pending_count store);
+  (* a second compile, of another circuit, on the still-broken store:
+     its failure is counted but not warned again, and the queue grows by
+     its solves *)
+  let warnings = Logs.warn_count () in
+  let queued = Store.pending_count store in
+  let second = M.create () in
+  ignore
+    (Pipeline.compile
+       (Engine.session ~config:cfg ~metrics:second ~name:"bb84" engine)
+       (Epoc_benchmarks.Benchmarks.find "bb84"));
+  Alcotest.(check int) "a second flush error" 2
+    (M.counter_value (Engine.metrics engine) "cache.flush_errors");
+  Alcotest.(check int) "no second warning" warnings (Logs.warn_count ());
+  Alcotest.(check bool) "the queue grows by the second compile's solves" true
+    (Store.pending_count store > queued);
+  let queued = Store.pending_count store in
+  (* the store becomes writable: the next compile's flush writes every
+     queued record once *)
   Unix.rmdir (records_path dir);
+  let third = M.create () in
+  ignore
+    (Pipeline.compile
+       (Engine.session ~config:cfg ~metrics:third ~name:"qaoa" engine)
+       circuit);
+  Alcotest.(check int) "nothing left queued" 0 (Store.pending_count store);
+  Alcotest.(check int) "no third flush error" 2
+    (M.counter_value (Engine.metrics engine) "cache.flush_errors");
+  let lines = record_lines (read_file (records_path dir)) in
+  Alcotest.(check int) "one line per queued record" queued lines;
+  Alcotest.(check (option (float 0.0))) "record lines = cache.entries"
+    (Some (float_of_int lines))
+    (M.gauge_value third "cache.entries");
   rm_rf dir
 
 let () =

@@ -274,6 +274,267 @@ let test_weyl_detects_low_interaction () =
   let c = Epoc_qoc.Weyl.interaction_content (Circuit.unitary block) in
   Alcotest.(check (float 1e-6)) "content = angle/2" 0.3 c
 
+(* --- one qubit-line timing model ------------------------------------------ *)
+
+(* Reference copies of the two list schedulers that [Lines.list_order]
+   replaced, kept verbatim apart from naming: [Reorder.commutation_aware]
+   on 0/1/6-weighted gates and [Stages.list_schedule] on pulse
+   instructions.  The properties below hold the rebuilt functions to
+   them. *)
+module Reference = struct
+  let weight (op : Circuit.op) =
+    match op.Circuit.gate with
+    | Gate.RZ _ | Gate.Phase _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T
+    | Gate.Tdg | Gate.I ->
+        0
+    | g when Gate.arity g = 1 -> 1
+    | _ -> 6
+
+  let dependencies (ops : Circuit.op array) =
+    let n = Array.length ops in
+    let deps = Array.make n [] in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let shares =
+          List.exists
+            (fun q -> List.mem q ops.(j).Circuit.qubits)
+            ops.(i).Circuit.qubits
+        in
+        if shares && not (Peephole.commutes ops.(i) ops.(j)) then
+          deps.(j) <- i :: deps.(j)
+      done
+    done;
+    deps
+
+  let commutation_aware (c : Circuit.t) =
+    let ops = Array.of_list (Circuit.ops c) in
+    let n = Array.length ops in
+    let deps = dependencies ops in
+    let emitted = Array.make n false in
+    let finish = Array.make n 0 in
+    let line = Array.make (Circuit.n_qubits c) 0 in
+    let order = ref [] in
+    for _ = 1 to n do
+      let best = ref (-1) in
+      let best_start = ref max_int in
+      for i = 0 to n - 1 do
+        if (not emitted.(i)) && List.for_all (fun d -> emitted.(d)) deps.(i)
+        then begin
+          let dep_ready =
+            List.fold_left (fun acc d -> max acc finish.(d)) 0 deps.(i)
+          in
+          let line_ready =
+            List.fold_left
+              (fun acc q -> max acc line.(q))
+              0 ops.(i).Circuit.qubits
+          in
+          let start = max dep_ready line_ready in
+          if start < !best_start then begin
+            best_start := start;
+            best := i
+          end
+        end
+      done;
+      let i = !best in
+      emitted.(i) <- true;
+      let fin = !best_start + weight ops.(i) in
+      finish.(i) <- fin;
+      List.iter (fun q -> line.(q) <- fin) ops.(i).Circuit.qubits;
+      order := ops.(i) :: !order
+    done;
+    Circuit.of_ops (Circuit.n_qubits c) (List.rev !order)
+
+  let instructions_commute ops_a ops_b =
+    List.for_all
+      (fun (a : Circuit.op) ->
+        List.for_all
+          (fun (b : Circuit.op) ->
+            (not
+               (List.exists
+                  (fun q -> List.mem q b.Circuit.qubits)
+                  a.Circuit.qubits))
+            || Peephole.commutes a b)
+          ops_b)
+      ops_a
+
+  let list_schedule
+      (items : (Epoc_pulse.Schedule.instruction * Circuit.op list) list) =
+    let module S = Epoc_pulse.Schedule in
+    let arr = Array.of_list items in
+    let n = Array.length arr in
+    let deps = Array.make n [] in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let ii, iops = arr.(i) and ji, jops = arr.(j) in
+        let shares =
+          List.exists (fun q -> List.mem q ji.S.qubits) ii.S.qubits
+        in
+        if shares && not (instructions_commute iops jops) then
+          deps.(j) <- i :: deps.(j)
+      done
+    done;
+    let emitted = Array.make n false in
+    let finish = Array.make n 0.0 in
+    let line : (int, float) Hashtbl.t = Hashtbl.create 16 in
+    let line_time q = Option.value ~default:0.0 (Hashtbl.find_opt line q) in
+    let order = ref [] in
+    for _ = 1 to n do
+      let best = ref (-1) in
+      let best_start = ref infinity in
+      for i = 0 to n - 1 do
+        if (not emitted.(i)) && List.for_all (fun d -> emitted.(d)) deps.(i)
+        then begin
+          let instr, _ = arr.(i) in
+          let dep_ready =
+            List.fold_left (fun acc d -> Float.max acc finish.(d)) 0.0 deps.(i)
+          in
+          let line_ready =
+            List.fold_left
+              (fun acc q -> Float.max acc (line_time q))
+              0.0 instr.S.qubits
+          in
+          let start = Float.max dep_ready line_ready in
+          if start < !best_start then begin
+            best_start := start;
+            best := i
+          end
+        end
+      done;
+      let i = !best in
+      let instr, _ = arr.(i) in
+      emitted.(i) <- true;
+      let fin = !best_start +. instr.S.duration in
+      finish.(i) <- fin;
+      List.iter (fun q -> Hashtbl.replace line q fin) instr.S.qubits;
+      order := instr :: !order
+    done;
+    List.rev !order
+end
+
+(* [k] distinct qubits of [0, n), drawn from [st]. *)
+let random_qubits st ~n k =
+  let rec go acc =
+    if List.length acc = k then List.rev acc
+    else
+      let q = Random.State.int st n in
+      go (if List.mem q acc then acc else q :: acc)
+  in
+  go []
+
+(* A random gate on at most [width] qubits: virtual, pulsed single-qubit,
+   commuting and non-commuting two-qubit gates, and three-qubit ones. *)
+let random_gate st ~width =
+  let angle () = Random.State.float st 6.28 in
+  let gates =
+    [|
+      Gate.H; Gate.X; Gate.SX; Gate.T; Gate.S; Gate.Z; Gate.I;
+      Gate.RZ (angle ()); Gate.CX; Gate.CZ; Gate.RZZ (angle ()); Gate.CCX;
+      Gate.CCZ;
+    |]
+  in
+  let rec pick () =
+    let g = gates.(Random.State.int st (Array.length gates)) in
+    if Gate.arity g <= width then g else pick ()
+  in
+  pick ()
+
+let random_circuit ~seed ~n ~length =
+  let st = Random.State.make [| seed |] in
+  Circuit.of_ops n
+    (List.init length (fun _ ->
+         let g = random_gate st ~width:n in
+         { Circuit.gate = g; qubits = random_qubits st ~n (Gate.arity g) }))
+
+(* Pulse instructions on 1-3 of [n] lines, each with 1-3 gates on its
+   qubits; durations come from a small set with repeats and zero, so many
+   items tie on their start.  Labels are the item indices. *)
+let random_items ~seed ~n ~length =
+  let st = Random.State.make [| seed |] in
+  let durations = [| 0.0; 10.0; 10.0; 25.0; 35.5; 60.0; 60.0 |] in
+  List.init length (fun i ->
+      let qubits = random_qubits st ~n (1 + Random.State.int st (min 3 n)) in
+      let width = List.length qubits in
+      let ops =
+        List.init
+          (1 + Random.State.int st 3)
+          (fun _ ->
+            let g = random_gate st ~width in
+            let local = random_qubits st ~n:width (Gate.arity g) in
+            { Circuit.gate = g; qubits = List.map (List.nth qubits) local })
+      in
+      ( {
+          Epoc_pulse.Schedule.qubits;
+          duration = durations.(Random.State.int st (Array.length durations));
+          fidelity = 0.99;
+          label = string_of_int i;
+          pulse = None;
+        },
+        ops ))
+
+let arb_case =
+  QCheck.make
+    ~print:(fun (seed, n, length) ->
+      Printf.sprintf "seed %d, %d qubits, %d items" seed n length)
+    QCheck.Gen.(triple (int_bound 1_000_000) (int_range 2 6) (int_range 0 40))
+
+let prop_list_order_reorder =
+  QCheck.Test.make ~name:"list order reproduces commutation-aware reorder"
+    ~count:300 arb_case (fun (seed, n, length) ->
+      let c = random_circuit ~seed ~n ~length in
+      Circuit.ops (Reorder.commutation_aware c)
+      = Circuit.ops (Reference.commutation_aware c))
+
+let prop_list_order_schedule =
+  QCheck.Test.make ~name:"list order reproduces the pulse list schedule"
+    ~count:300 arb_case (fun (seed, n, length) ->
+      let items = random_items ~seed ~n ~length in
+      let labels = List.map (fun (i : Epoc_pulse.Schedule.instruction) ->
+          i.Epoc_pulse.Schedule.label)
+      in
+      labels (Stages.list_schedule ~n items)
+      = labels (Reference.list_schedule items))
+
+(* A degraded block plays the gate flow's own instructions: its price is
+   that flow's latency and fidelity product on the block's circuit. *)
+let test_gate_fallback_is_gate_flow () =
+  let blocks =
+    List.concat_map
+      (fun (_, c) ->
+        List.map Epoc_partition.Partition.block_circuit
+          (Epoc_partition.Partition.partition c))
+      suite
+  in
+  List.iter
+    (fun local ->
+      let duration, fidelity =
+        Stages.gate_fallback
+          (Epoc_qoc.Hardware.make (Circuit.n_qubits local))
+          local
+      in
+      let g = Baselines.compile_gate_based (session ~name:"block" ()) local in
+      Alcotest.(check (float 0.0)) "latency" g.Pipeline.latency duration;
+      Alcotest.(check (float 0.0)) "fidelity product"
+        (List.fold_left
+           (fun f (p : Epoc_pulse.Schedule.placed) ->
+             f *. p.Epoc_pulse.Schedule.instruction.Epoc_pulse.Schedule.fidelity)
+           1.0 g.Pipeline.schedule.Epoc_pulse.Schedule.placed)
+        fidelity)
+    blocks
+
+(* The estimator's wide-block critical path prices [id] like every other
+   virtual gate: free. *)
+let test_estimate_id_free () =
+  let hw = Epoc_qoc.Hardware.make 3 in
+  let entangling = [ op Gate.CX [ 0; 1 ]; op Gate.CX [ 1; 2 ] ] in
+  let est ops =
+    (Epoc_qoc.Latency.estimate hw (Circuit.of_ops 3 ops))
+      .Epoc_qoc.Latency.est_duration
+  in
+  Alcotest.(check (float 0.0)) "id costs nothing" (est entangling)
+    (est
+       ((op Gate.I [ 0 ] :: op Gate.I [ 0 ] :: entangling)
+       @ [ op Gate.I [ 2 ] ]))
+
 let () =
   Alcotest.run "epoc"
     [
@@ -315,5 +576,14 @@ let () =
         [
           Alcotest.test_case "low interaction detected" `Quick
             test_weyl_detects_low_interaction;
+        ] );
+      ( "lines",
+        [
+          QCheck_alcotest.to_alcotest prop_list_order_reorder;
+          QCheck_alcotest.to_alcotest prop_list_order_schedule;
+          Alcotest.test_case "gate fallback is the gate flow" `Quick
+            test_gate_fallback_is_gate_flow;
+          Alcotest.test_case "estimate prices id free" `Quick
+            test_estimate_id_free;
         ] );
     ]
